@@ -18,8 +18,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
-#include <vector>
 
 #include "support/cache_aligned.h"
 #include "support/panic.h"
@@ -42,8 +42,11 @@ template <typename T>
 class WsDeque
 {
   public:
+    // The buffer is left uninitialized: the THE protocol only reads
+    // slots in [head, tail), each written by pushTail first, and a
+    // zero-fill would touch every page of a deep deque up front.
     explicit WsDeque(std::size_t capacity = 8192)
-        : _buffer(capacity, nullptr), _capacity(capacity)
+        : _buffer(new T *[capacity]), _capacity(capacity)
     {
         NUMAWS_ASSERT(capacity >= 2);
     }
@@ -214,7 +217,7 @@ class WsDeque
      * shares the owner's tail line, never touched by thieves. */
     int64_t _headCache = 0;
     alignas(kCacheLineBytes) SpinLock _lock;
-    std::vector<T *> _buffer;
+    std::unique_ptr<T *[]> _buffer;
     std::size_t _capacity;
 };
 

@@ -132,17 +132,6 @@ struct RuntimeOptions
     uint64_t seed = 0x5eed;
     /** Deque capacity (spawn depth bound). */
     std::size_t dequeCapacity = 1 << 16;
-    /**
-     * Sampled work/scheduling/idle accounting: read the clock around
-     * 1-in-2^N executed tasks instead of every one (0 == sample every
-     * task, the exact mode). Unsampled tasks are counted and their
-     * work is estimated from the last sampled task's duration at the
-     * next clock read, so bucket *totals* still sum to wall time; the
-     * split converges to the exact one for homogeneous tasks (the
-     * fine-grained regime where the two nowNs() calls — ~40ns/task —
-     * are worth cutting).
-     */
-    int timeSplitSampleShift = 0;
     /** Teardown policy for jobs still queued when the Runtime is
      * destroyed (see ShutdownPolicy). */
     ShutdownPolicy shutdownPolicy = ShutdownPolicy::Drain;
@@ -231,6 +220,11 @@ struct WorkerCounters
     /// @}
     /** Jobs whose root completed on this worker (serving front door). */
     uint64_t jobsCompleted = 0;
+    /** Time-split bucket changes (clock reads on the accounting path).
+     * Work-first accounting reads the clock only on a real state change
+     * — running dry, a steal, a pushback, a wait's end — so this stays
+     * proportional to steal-path events, never to spawns. */
+    uint64_t timeSplitSwitches = 0;
 
     void merge(const WorkerCounters &o);
 };
@@ -521,6 +515,16 @@ class Worker
     bool helpJobUntil(const JobState &job, int64_t deadline_ns);
     /** Execute @p task, maintaining hint inheritance and accounting. */
     void executeTask(TaskBase *task);
+    /** Close the open time-split segment at @p now_ns without changing
+     * the bucket. Runtime::finishJob calls it with the finish stamp it
+     * already read, so a job's time is in stats() by the time its
+     * waiter wakes, at no extra clock read. */
+    void
+    flushTimeSplit(int64_t now_ns)
+    {
+        _time.add(_bucket, now_ns - _mark);
+        _mark = now_ns;
+    }
     /** Destroy @p task and route its frame home: local LIFO when this
      * worker owns it, the owner's remote-free stack when a thief
      * finished a stolen task, plain delete for heap frames. */
@@ -554,40 +558,24 @@ class Worker
      * Linear-timeline time accounting: a worker's lifetime is a single
      * sequence of segments, each attributed to exactly one bucket; nested
      * helping merely switches buckets, so nothing is double counted.
-     *
-     * Sampled mode (RuntimeOptions::timeSplitSampleShift > 0): tasks
-     * executed without a clock read accumulate in _unsampledTasks; the
-     * next switch estimates their work as unsampled-count times the
-     * last sampled task's duration, clamped to the elapsed segment, and
-     * charges the remainder to the segment's nominal bucket — totals
-     * stay exactly wall time, only the split is approximated.
      */
     void
     switchBucket(TimeSplit::Bucket b)
     {
-        const int64_t t = nowNs();
-        int64_t elapsed = t - _mark;
-        if (_unsampledTasks > 0) {
-            // Mean over *all* sampled tasks, not the most recent one:
-            // task sizes are bimodal (tiny interior spawns, fat leaves)
-            // and a last-sample estimator collapses whenever the last
-            // sample happened to be an interior task, leaking leaf work
-            // into the enclosing Scheduling/Idle segment. Before the
-            // first sample completes (count == 0) the prior is that a
-            // segment known to contain task executions was all work.
-            int64_t est = elapsed;
-            if (_sampledTaskCount > 0)
-                est = (_sampledWorkNs / _sampledTaskCount)
-                    * _unsampledTasks;
-            if (est > elapsed)
-                est = elapsed;
-            _time.add(TimeSplit::Work, est);
-            elapsed -= est;
-            _unsampledTasks = 0;
-        }
-        _time.add(_bucket, elapsed);
-        _mark = t;
+        flushTimeSplit(nowNs());
         _bucket = b;
+        ++_counters.timeSplitSwitches;
+    }
+
+    /** Work-first accounting: read the clock only when the bucket
+     * really changes, so a spawn, a local pop, a task execution, or a
+     * sync whose children all ran at home costs no clock read — their
+     * overhead is Work, as Cilk's T1 counts it. */
+    void
+    ensureBucket(TimeSplit::Bucket b)
+    {
+        if (_bucket != b)
+            switchBucket(b);
     }
 
     /** Refresh the data-home affinity mask from @p task (executeTask). */
@@ -677,14 +665,6 @@ class Worker
     TimeSplit _time;
     TimeSplit::Bucket _bucket = TimeSplit::Idle;
     int64_t _mark = 0;
-    /** @name Sampled time-split state (timeSplitSampleShift) */
-    /// @{
-    uint32_t _sampleMask = 0; ///< 2^shift - 1; 0 samples every task
-    uint32_t _sampleCtr = 0;
-    int64_t _unsampledTasks = 0;
-    int64_t _sampledWorkNs = 0;   ///< summed work of sampled tasks
-    int64_t _sampledTaskCount = 0;
-    /// @}
 };
 
 /**

@@ -508,6 +508,7 @@ Runtime::finishJob(JobState &state, JobOutcome outcome)
         outcome = JobOutcome::Expired;
     Worker *w = Worker::current();
     NUMAWS_ASSERT(w != nullptr); // job roots execute on workers only
+    w->flushTimeSplit(t);
     // Latency percentiles describe served work: only jobs that ran to
     // completion (Done/Failed) are recorded.
     if (outcome == JobOutcome::Done || outcome == JobOutcome::Failed)

@@ -25,14 +25,20 @@ TaskGroup::sync()
     w->helpSync(*this);
     NUMAWS_ASSERT(pending() == 0);
 
-    std::exception_ptr e;
-    {
-        std::lock_guard<SpinLock> g(_exceptionLock);
-        e = _exception;
-        _exception = nullptr;
-    }
-    if (e)
+    // Lock only when a child failed. The unlocked read is ordered after
+    // every child's recordException: each child records before its
+    // release onChildDone, and helpSync exited on an acquire read of
+    // pending() == 0 that synchronizes with all of those decrements
+    // (they form one release sequence of RMWs on _pending).
+    if (_exception) {
+        std::exception_ptr e;
+        {
+            std::lock_guard<SpinLock> g(_exceptionLock);
+            e = _exception;
+            _exception = nullptr;
+        }
         std::rethrow_exception(e);
+    }
 
     // Cooperative cancellation boundary, checked *after* the join: the
     // children are accounted for either way (a JobCancelled unwind must

@@ -50,6 +50,7 @@ WorkerCounters::merge(const WorkerCounters &o)
     interferenceRetires += o.interferenceRetires;
     interferenceReinstates += o.interferenceReinstates;
     jobsCompleted += o.jobsCompleted;
+    timeSplitSwitches += o.timeSplitSwitches;
     // (The live park counters are atomics on Worker; Runtime::stats()
     // folds them via foldParkCounters, so aggregates merge plainly.)
 }
@@ -70,8 +71,7 @@ Worker::Worker(Runtime &runtime, int id, int place, uint64_t seed,
       _core(runtime.options().sched,
             EngineView{&runtime.stealDistribution(), &runtime.board()},
             id, place, seed),
-      _mark(nowNs()),
-      _sampleMask((1u << runtime.options().timeSplitSampleShift) - 1)
+      _mark(nowNs())
 {
     // Mailbox occupancy reaches the board from inside tryPut/tryTake, so
     // pushers and thieves publish transitions without extra call sites;
@@ -229,7 +229,9 @@ Worker::trySteal()
         return nullptr;
 
     // Successful steal: everything past this point is scheduler
-    // bookkeeping, charged to scheduling time (the span term).
+    // bookkeeping, charged to scheduling time (the span term). The
+    // probe itself goes to the open bucket: Idle after a dry spell,
+    // Work when the local miss that led here read no clock.
     switchBucket(TimeSplit::Scheduling);
     if (from_mailbox)
         ++_counters.mailboxTakes;
@@ -356,17 +358,12 @@ Worker::placeForData(const void *data, std::size_t bytes) const
 void
 Worker::executeTask(TaskBase *task)
 {
-    // Sampled time split: only 1-in-2^timeSplitSampleShift tasks pay
-    // the two clock reads bracketing execution (~40ns/task in the
-    // fine-grained regime); the rest are counted and reclassified from
-    // the enclosing segment at the next real read (switchBucket). The
-    // default shift of 0 samples every task — the exact mode.
-    const bool sampled = (_sampleCtr++ & _sampleMask) == 0;
-    int64_t work_before = 0;
-    if (sampled) {
-        switchBucket(TimeSplit::Work);
-        work_before = _time.ns(TimeSplit::Work);
-    }
+    // Work-first accounting: a task acquired on the work path (local
+    // pop, or nested inside a sync) finds the bucket already Work and
+    // reads no clock; only a task found after a miss (steal, mailbox,
+    // job claim) closes the Idle/Scheduling segment. Nothing on exit —
+    // the bucket stays Work until the worker really runs dry.
+    ensureBucket(TimeSplit::Work);
     const Place prev_hint = _currentHint;
     _currentHint = task->place();
     // Job context switches with the task (saved/restored like the hint):
@@ -412,22 +409,12 @@ Worker::executeTask(TaskBase *task)
     // Frame release sits on both the normal and the exception path
     // above: a thrown task body still recycles its frame.
     releaseTask(task);
-    // Liveness signal for the stall watchdog: one relaxed increment per
-    // completed task body.
-    _progressStamp.fetch_add(1, std::memory_order_relaxed);
-    if (sampled) {
-        switchBucket(TimeSplit::Idle);
-        // Work credited across this task's span (its own segment plus
-        // any nested helping): the per-task estimate the unsampled
-        // majority is charged at.
-        const int64_t w = _time.ns(TimeSplit::Work) - work_before;
-        if (w > 0) {
-            _sampledWorkNs += w;
-            ++_sampledTaskCount;
-        }
-    } else {
-        ++_unsampledTasks;
-    }
+    // Liveness signal for the stall watchdog, one per completed task
+    // body. This worker is the only writer, so a plain load+store
+    // replaces a locked fetch_add; readers only need a torn-free value.
+    _progressStamp.store(
+        _progressStamp.load(std::memory_order_relaxed) + 1,
+        std::memory_order_relaxed);
 }
 
 void
@@ -478,21 +465,25 @@ Worker::releaseTask(TaskBase *task)
 void
 Worker::helpSync(TaskGroup &group)
 {
-    // We are inside a task body (bucket == Work); the wait itself is not
-    // useful work until we actually find something to execute.
-    switchBucket(TimeSplit::Idle);
+    // We are inside a task body (bucket == Work). Children popped from
+    // our own deque are still the work path — no clock read. A stolen
+    // child makes the wait idle time, but only once the steal path has
+    // come up empty too: a successful steal switches straight from the
+    // open bucket to Scheduling, so the miss itself reads no clock.
     while (group.pending() > 0) {
         TaskBase *t = acquireLocal();
         if (t == nullptr && _runtime.workActive())
             t = trySteal();
-        if (t != nullptr)
+        if (t != nullptr) {
             executeTask(t);
-        else
+        } else {
+            ensureBucket(TimeSplit::Idle);
             for (int i = 0; i < 32 && group.pending() > 0; ++i)
                 cpuRelax();
+        }
     }
     // Control returns to the syncing task's body.
-    switchBucket(TimeSplit::Work);
+    ensureBucket(TimeSplit::Work);
 }
 
 void
@@ -502,22 +493,23 @@ Worker::helpJob(const JobState &job)
     // *claims queued jobs too*: the joined job may still be sitting in
     // the admission queue behind us, and on a single-worker runtime no
     // one else could ever claim it (nested submit-and-wait).
-    switchBucket(TimeSplit::Idle);
     while (!job.done.load(std::memory_order_acquire)) {
         TaskBase *t = acquireLocal();
         if (t == nullptr)
             t = _runtime.takeJob();
         if (t == nullptr && _runtime.workActive())
             t = trySteal();
-        if (t != nullptr)
+        if (t != nullptr) {
             executeTask(t);
-        else
+        } else {
+            ensureBucket(TimeSplit::Idle);
             for (int i = 0;
                  i < 32 && !job.done.load(std::memory_order_acquire);
                  ++i)
                 cpuRelax();
+        }
     }
-    switchBucket(TimeSplit::Work);
+    ensureBucket(TimeSplit::Work);
 }
 
 bool
@@ -528,7 +520,6 @@ Worker::helpJobUntil(const JobState &job, int64_t deadline_ns)
     // the job is unresolved. The deadline is checked between task
     // executions only — a long task body overshoots, same as any
     // cooperative scheme here.
-    switchBucket(TimeSplit::Idle);
     while (!job.done.load(std::memory_order_acquire)
            && nowNs() < deadline_ns) {
         TaskBase *t = acquireLocal();
@@ -536,15 +527,17 @@ Worker::helpJobUntil(const JobState &job, int64_t deadline_ns)
             t = _runtime.takeJob();
         if (t == nullptr && _runtime.workActive())
             t = trySteal();
-        if (t != nullptr)
+        if (t != nullptr) {
             executeTask(t);
-        else
+        } else {
+            ensureBucket(TimeSplit::Idle);
             for (int i = 0;
                  i < 32 && !job.done.load(std::memory_order_acquire);
                  ++i)
                 cpuRelax();
+        }
     }
-    switchBucket(TimeSplit::Work);
+    ensureBucket(TimeSplit::Work);
     return job.done.load(std::memory_order_acquire);
 }
 
@@ -632,6 +625,7 @@ Worker::mainLoop()
                     executeTask(t);
                     continue;
                 }
+                ensureBucket(TimeSplit::Idle);
                 retirePark();
                 continue;
             }
@@ -659,6 +653,8 @@ Worker::mainLoop()
             executeTask(t);
             continue;
         }
+        // Ran dry on every path: from here on the worker is idle.
+        ensureBucket(TimeSplit::Idle);
         // The core tracks the fruitless streak against its (tuned) spin
         // budget and decides when spinning should give way to parking.
         _core.noteFruitless();

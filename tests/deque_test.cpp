@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -74,6 +75,8 @@ TEST(WsDeque, EmptyChecks)
 
 TEST(WsDeque, WrapsAroundRingBuffer)
 {
+    // Head and tail both advance one slot a round, so from round 2 on
+    // the live slots straddle the index wrap.
     WsDeque<Node> d(4);
     Node n[3] = {{0}, {1}, {2}};
     for (int round = 0; round < 10; ++round) {
@@ -84,6 +87,45 @@ TEST(WsDeque, WrapsAroundRingBuffer)
         EXPECT_EQ(d.popTail(), &n[1]);
         EXPECT_EQ(d.popTail(), nullptr);
     }
+}
+
+/** Resident set size of this process in KiB, or -1 without procfs. */
+long
+residentKb()
+{
+    std::FILE *f = std::fopen("/proc/self/status", "r");
+    if (f == nullptr)
+        return -1;
+    long kb = -1;
+    char line[256];
+    while (std::fgets(line, sizeof line, f) != nullptr)
+        if (std::sscanf(line, "VmRSS: %ld kB", &kb) == 1)
+            break;
+    std::fclose(f);
+    return kb;
+}
+
+TEST(WsDeque, StorageIsNotTouchedAtConstruction)
+{
+    // A worker's deque is sized for the deepest spawn chain, far beyond
+    // what a run touches; constructing one must not fault in its pages.
+    constexpr std::size_t kCapacity = std::size_t{1} << 20; // 8 MiB
+    const long before = residentKb();
+    if (before < 0)
+        GTEST_SKIP() << "no /proc/self/status";
+    WsDeque<Node> d(kCapacity);
+    EXPECT_LT(residentKb() - before, 1024);
+
+    // Untouched slots are never read: the ring still works as a deque.
+    // (Index wrap on unfilled storage is WrapsAroundRingBuffer's job.)
+    Node n[3] = {{0}, {1}, {2}};
+    for (auto &x : n)
+        d.pushTail(&x);
+    EXPECT_EQ(d.stealHead(), &n[0]);
+    EXPECT_EQ(d.popTail(), &n[2]);
+    EXPECT_EQ(d.popTail(), &n[1]);
+    EXPECT_EQ(d.popTail(), nullptr);
+    EXPECT_EQ(d.stealHead(), nullptr);
 }
 
 TEST(WsDequeStealHalf, TakesHalfFromTheHeadOldestFirst)

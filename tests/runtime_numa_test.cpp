@@ -194,9 +194,20 @@ TEST(RuntimeNuma, StatsTrackHintedPlacement)
     Runtime rt(numaOptions(4, 2));
     rt.resetStats();
     rt.run([&] {
+        // Hint the children at the place the root is not on, so the
+        // children its own worker pops never count: only a thief of the
+        // hinted place, or a pushback to it, can. Each child carries
+        // real work so those thieves get to run while the root is busy.
+        const Place away{1 - currentPlace()};
         TaskGroup tg;
         for (int i = 0; i < 100; ++i)
-            tg.spawn([] {}, Place{0});
+            tg.spawn(
+                [] {
+                    volatile double x = 1.0;
+                    for (int k = 0; k < 50000; ++k)
+                        x = x * 1.0000001 + 0.1;
+                },
+                away);
         tg.sync();
     });
     const RuntimeStats s = rt.stats();

@@ -193,6 +193,45 @@ TEST(Runtime, StatsCountSpawnsAndTasks)
     EXPECT_EQ(s.counters.tasksExecuted, 51u);
 }
 
+// Work-first time accounting: the clock is read only on a real worker
+// state change, so timeSplitSwitches scales with steal-path events and
+// never with spawns. fib(32) at cutoff 14 makes ~11k spawns per run.
+TEST(WorkFirstTimeSplit, SingleWorkerFibReadsNoClockPerSpawn)
+{
+    Runtime rt(smallOptions(1));
+    rt.resetStats();
+    constexpr int kRuns = 3;
+    for (int r = 0; r < kRuns; ++r)
+        ASSERT_EQ(workloads::fibParallel(rt, 32, 14),
+                  workloads::fibSerial(32));
+    const RuntimeStats s = rt.stats();
+    ASSERT_GE(s.counters.spawns, 10000u * kRuns);
+    // A run claims its root (Idle -> Work) and runs dry after it
+    // (Work -> Idle); every spawn, pop and sync in between is local.
+    EXPECT_LE(s.counters.timeSplitSwitches, 8u * kRuns)
+        << "spawns=" << s.counters.spawns;
+}
+
+TEST(WorkFirstTimeSplit, SwitchesBoundedByStealPathEvents)
+{
+    constexpr int kWorkers = 4;
+    Runtime rt(smallOptions(kWorkers));
+    rt.resetStats();
+    for (int r = 0; r < 3; ++r)
+        ASSERT_EQ(workloads::fibParallel(rt, 32, 14),
+                  workloads::fibSerial(32));
+    const RuntimeStats s = rt.stats();
+    const WorkerCounters &c = s.counters;
+    const uint64_t events = c.steals + c.mailboxTakes
+                            + c.pushbackSuccesses + c.jobsCompleted
+                            + c.parks;
+    EXPECT_LE(c.timeSplitSwitches, 4 * events + 2 * kWorkers)
+        << "spawns=" << c.spawns << " steals=" << c.steals
+        << " mailboxTakes=" << c.mailboxTakes
+        << " pushbacks=" << c.pushbackSuccesses
+        << " jobs=" << c.jobsCompleted << " parks=" << c.parks;
+}
+
 TEST(Runtime, ApiQueriesInsideAndOutside)
 {
     EXPECT_EQ(currentPlace(), kAnyPlace);
