@@ -57,39 +57,6 @@ using namespace numaws::workloads;
 
 namespace {
 
-/** Exact quantile from an unsorted sample (sorts a copy). */
-double
-exactQuantile(std::vector<double> sample, double q)
-{
-    if (sample.empty())
-        return 0.0;
-    std::sort(sample.begin(), sample.end());
-    const double n = static_cast<double>(sample.size());
-    std::size_t idx = static_cast<std::size_t>(q * n + 0.999999);
-    idx = idx > 0 ? idx - 1 : 0;
-    if (idx >= sample.size())
-        idx = sample.size() - 1;
-    return sample[idx];
-}
-
-bool
-gateMax(const char *what, double actual, double limit)
-{
-    const bool ok = actual <= limit;
-    std::printf("  gate %-52s %.4f <= %.4f  %s\n", what, actual, limit,
-                ok ? "ok" : "FAIL");
-    return ok;
-}
-
-bool
-gateMin(const char *what, double actual, double limit)
-{
-    const bool ok = actual >= limit;
-    std::printf("  gate %-52s %.4f >= %.4f  %s\n", what, actual, limit,
-                ok ? "ok" : "FAIL");
-    return ok;
-}
-
 // ---------------------------------------------------------------------
 // Sim side
 // ---------------------------------------------------------------------
@@ -209,22 +176,6 @@ simRow(const SimScenario &sc, int cores, uint64_t seed,
 constexpr int kWorkers = 4;
 constexpr int kSqueezedCpu = kWorkers - 1; ///< top rank of place 1
 constexpr int kCorunners = 2;
-
-double
-matmulSerialJob(uint32_t n)
-{
-    std::vector<double> a(static_cast<std::size_t>(n) * n, 1.0);
-    std::vector<double> b(a.size(), 2.0);
-    std::vector<double> c(a.size(), 0.0);
-    for (uint32_t i = 0; i < n; ++i)
-        for (uint32_t k = 0; k < n; ++k) {
-            const double aik = a[static_cast<std::size_t>(i) * n + k];
-            for (uint32_t j = 0; j < n; ++j)
-                c[static_cast<std::size_t>(i) * n + j] +=
-                    aik * b[static_cast<std::size_t>(k) * n + j];
-        }
-    return c[0];
-}
 
 std::atomic<double> g_sink{0.0};
 

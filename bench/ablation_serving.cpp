@@ -44,21 +44,6 @@ using namespace numaws::workloads;
 
 namespace {
 
-/** Exact quantile from an unsorted sample (sorts a copy). */
-double
-exactQuantile(std::vector<double> sample, double q)
-{
-    if (sample.empty())
-        return 0.0;
-    std::sort(sample.begin(), sample.end());
-    const double n = static_cast<double>(sample.size());
-    std::size_t idx = static_cast<std::size_t>(q * n + 0.999999);
-    idx = idx > 0 ? idx - 1 : 0;
-    if (idx >= sample.size())
-        idx = sample.size() - 1;
-    return sample[idx];
-}
-
 // ---------------------------------------------------------------------
 // Threaded job bodies: small intra-job fork-join computations. The
 // library helpers (fibParallel etc.) wrap rt.run() and so cannot be
@@ -78,55 +63,6 @@ fibJob(int n, int cutoff)
     const uint64_t b = fibJob(n - 2, cutoff);
     tg.sync();
     return a + b;
-}
-
-double
-matmulJob(uint32_t n)
-{
-    std::vector<double> a(static_cast<std::size_t>(n) * n, 1.0);
-    std::vector<double> b(a.size(), 2.0);
-    std::vector<double> c(a.size(), 0.0);
-    parallelForRange(0, n, /*grain=*/static_cast<int64_t>(n) / 4 + 1,
-                     [&](int64_t lo, int64_t hi) {
-                         for (int64_t i = lo; i < hi; ++i)
-                             for (uint32_t k = 0; k < n; ++k) {
-                                 const double aik =
-                                     a[static_cast<std::size_t>(i) * n
-                                       + k];
-                                 for (uint32_t j = 0; j < n; ++j)
-                                     c[static_cast<std::size_t>(i) * n
-                                       + j] +=
-                                         aik
-                                         * b[static_cast<std::size_t>(k)
-                                                 * n
-                                             + j];
-                             }
-                     });
-    return c[0];
-}
-
-double
-heatJob(int64_t nx, int64_t ny, int64_t steps)
-{
-    std::vector<double> a(static_cast<std::size_t>(nx) * ny, 1.0);
-    std::vector<double> b(a.size(), 0.0);
-    double *src = a.data();
-    double *dst = b.data();
-    for (int64_t t = 0; t < steps; ++t) {
-        parallelForRange(1, nx - 1, /*grain=*/nx / 4 + 1,
-                         [&](int64_t lo, int64_t hi) {
-                             for (int64_t i = lo; i < hi; ++i)
-                                 for (int64_t j = 1; j < ny - 1; ++j)
-                                     dst[i * ny + j] =
-                                         0.25
-                                         * (src[(i - 1) * ny + j]
-                                            + src[(i + 1) * ny + j]
-                                            + src[i * ny + j - 1]
-                                            + src[i * ny + j + 1]);
-                         });
-        std::swap(src, dst);
-    }
-    return src[ny + 1];
 }
 
 std::atomic<double> g_sink{0.0}; ///< keeps job results observable
@@ -221,24 +157,6 @@ runOpenLoop(Runtime &rt, const std::string &mix,
     r.parked_frac =
         static_cast<double>(r.stats.counters.parkedNs) / wall_ns;
     return r;
-}
-
-bool
-gateMax(const char *what, double actual, double limit)
-{
-    const bool ok = actual <= limit;
-    std::printf("  gate %-52s %.4f <= %.4f  %s\n", what, actual, limit,
-                ok ? "ok" : "FAIL");
-    return ok;
-}
-
-bool
-gateMin(const char *what, double actual, double limit)
-{
-    const bool ok = actual >= limit;
-    std::printf("  gate %-52s %.4f >= %.4f  %s\n", what, actual, limit,
-                ok ? "ok" : "FAIL");
-    return ok;
 }
 
 // ---------------------------------------------------------------------

@@ -2,8 +2,7 @@
  * @file
  * Victim-policy ablation grid: {flat, occupancy, occupancy+affinity}
  * on the two workloads that pulled PR 1's hierarchical search in
- * opposite directions. (The distance-only hierarchical row retired in
- * PR 4 after two PRs of green CI history on the informed default.)
+ * opposite directions.
  *
  * PR 1 recorded the tension this grid measures: the blind distance
  * ladder cut matmul-layout steal probes ~16% but cost ~+30% simulated
@@ -54,11 +53,10 @@ struct PolicyRow
 };
 
 const PolicyRow kRows[] = {
-    {"flat", false, VictimPolicy::Distance, EscalationPolicy::Fixed},
-    // The distance-only hierarchical row was retired in PR 4 after two
-    // PRs of green CI history on the informed default; the
-    // VictimPolicy::Distance escape hatch survives in SchedPolicy for
-    // debugging a suspect board, but no longer earns a gated bench row.
+    // Flat search is the blind baseline; the victim policy is only
+    // consulted by hierarchical steals.
+    {"flat", false, VictimPolicy::OccupancyAffinity,
+     EscalationPolicy::Fixed},
     {"occupancy", true, VictimPolicy::Occupancy, EscalationPolicy::Fixed},
     {"occupancy+affinity", true, VictimPolicy::OccupancyAffinity,
      EscalationPolicy::Fixed},
@@ -83,15 +81,6 @@ configOf(const PolicyRow &row, uint64_t seed)
     c.sched.escalationPolicy = row.escalation;
     c.seed = seed;
     return c;
-}
-
-bool
-gate(const char *what, double actual, double limit)
-{
-    const bool ok = actual <= limit;
-    std::printf("  gate %-46s %.4f <= %.4f  %s\n", what, actual, limit,
-                ok ? "ok" : "FAIL");
-    return ok;
 }
 
 /** The same policy grid on the threaded runtime (fib + heat), so the
@@ -264,16 +253,14 @@ main(int argc, char **argv)
 
     // Acceptance gates (see file header). Ratios vs. flat search use a
     // 0.5% tolerance for cost-model noise; the probe gate is absolute.
-    // The no-regression-vs-distance gates retired with the distance
-    // rows in PR 4 (two PRs of green history on the informed default).
     bool ok = true;
     std::printf("\n");
-    ok &= gate("heat occ+affinity / flat elapsed",
-               informed[0].elapsed / flat[0].elapsed, 1.005);
-    ok &= gate("matmul occ+affinity / flat steal probes",
-               static_cast<double>(informed[1].attempts)
-                   / static_cast<double>(flat[1].attempts),
-               0.90);
+    ok &= gateMax("heat occ+affinity / flat elapsed",
+                  informed[0].elapsed / flat[0].elapsed, 1.005);
+    ok &= gateMax("matmul occ+affinity / flat steal probes",
+                  static_cast<double>(informed[1].attempts)
+                      / static_cast<double>(flat[1].attempts),
+                  0.90);
     if (!ok) {
         std::printf("FAIL: victim-policy acceptance gate violated\n");
         return 1;

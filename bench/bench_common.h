@@ -14,6 +14,8 @@
 #ifndef NUMAWS_BENCH_BENCH_COMMON_H
 #define NUMAWS_BENCH_BENCH_COMMON_H
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -125,6 +127,116 @@ runThreadedFibHeat(Runtime &rt, double scale)
     workloads::fibParallel(rt, fib_n);
     workloads::heatParallel(rt, a.data(), b.data(), heat, true);
     return t.seconds();
+}
+
+/** Exact quantile from an unsorted sample (sorts a copy); 0 if empty. */
+inline double
+exactQuantile(std::vector<double> sample, double q)
+{
+    if (sample.empty())
+        return 0.0;
+    std::sort(sample.begin(), sample.end());
+    const double n = static_cast<double>(sample.size());
+    std::size_t idx = static_cast<std::size_t>(q * n + 0.999999);
+    idx = idx > 0 ? idx - 1 : 0;
+    if (idx >= sample.size())
+        idx = sample.size() - 1;
+    return sample[idx];
+}
+
+/** Acceptance gate actual <= limit: prints one verdict line. */
+inline bool
+gateMax(const char *what, double actual, double limit)
+{
+    const bool ok = actual <= limit;
+    std::printf("  gate %-52s %.4f <= %.4f  %s\n", what, actual, limit,
+                ok ? "ok" : "FAIL");
+    return ok;
+}
+
+/** Acceptance gate actual >= limit: prints one verdict line. */
+inline bool
+gateMin(const char *what, double actual, double limit)
+{
+    const bool ok = actual >= limit;
+    std::printf("  gate %-52s %.4f >= %.4f  %s\n", what, actual, limit,
+                ok ? "ok" : "FAIL");
+    return ok;
+}
+
+/**
+ * Fork-join heat stencil job body for the serving benches (the library
+ * helpers wrap rt.run() and cannot be called from inside a job): many
+ * spawns per step, so spawn/sync boundaries are dense.
+ */
+inline double
+heatJob(int64_t nx, int64_t ny, int64_t steps)
+{
+    std::vector<double> a(static_cast<std::size_t>(nx) * ny, 1.0);
+    std::vector<double> b(a.size(), 0.0);
+    double *src = a.data();
+    double *dst = b.data();
+    for (int64_t t = 0; t < steps; ++t) {
+        parallelForRange(1, nx - 1, /*grain=*/nx / 4 + 1,
+                         [&](int64_t lo, int64_t hi) {
+                             for (int64_t i = lo; i < hi; ++i)
+                                 for (int64_t j = 1; j < ny - 1; ++j)
+                                     dst[i * ny + j] =
+                                         0.25
+                                         * (src[(i - 1) * ny + j]
+                                            + src[(i + 1) * ny + j]
+                                            + src[i * ny + j - 1]
+                                            + src[i * ny + j + 1]);
+                         });
+        std::swap(src, dst);
+    }
+    return src[ny + 1];
+}
+
+/** Fork-join matmul job body: rows split with parallelForRange. */
+inline double
+matmulJob(uint32_t n)
+{
+    std::vector<double> a(static_cast<std::size_t>(n) * n, 1.0);
+    std::vector<double> b(a.size(), 2.0);
+    std::vector<double> c(a.size(), 0.0);
+    parallelForRange(0, n, /*grain=*/static_cast<int64_t>(n) / 4 + 1,
+                     [&](int64_t lo, int64_t hi) {
+                         for (int64_t i = lo; i < hi; ++i)
+                             for (uint32_t k = 0; k < n; ++k) {
+                                 const double aik =
+                                     a[static_cast<std::size_t>(i) * n
+                                       + k];
+                                 for (uint32_t j = 0; j < n; ++j)
+                                     c[static_cast<std::size_t>(i) * n
+                                       + j] +=
+                                         aik
+                                         * b[static_cast<std::size_t>(k)
+                                                 * n
+                                             + j];
+                             }
+                     });
+    return c[0];
+}
+
+/** Single-block matmul with no scheduling points: a job body whose
+ * execution time is load-independent (a saturated host can stretch a
+ * fork-join tree arbitrarily, which would charge intra-job starvation
+ * to a latency gate). */
+inline double
+matmulSerialJob(uint32_t n)
+{
+    std::vector<double> a(static_cast<std::size_t>(n) * n, 1.0);
+    std::vector<double> b(a.size(), 2.0);
+    std::vector<double> c(a.size(), 0.0);
+    for (uint32_t i = 0; i < n; ++i)
+        for (uint32_t k = 0; k < n; ++k) {
+            const double aik = a[static_cast<std::size_t>(i) * n + k];
+            for (uint32_t j = 0; j < n; ++j)
+                c[static_cast<std::size_t>(i) * n + j] +=
+                    aik * b[static_cast<std::size_t>(k) * n + j];
+        }
+    return c[0];
 }
 
 /**

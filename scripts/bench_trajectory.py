@@ -51,7 +51,6 @@ KEY_FIELDS = (
     "escalation",
     "park",
     "push",
-    "tuning",
     "pool",
     "mailbox",
     "cores",

@@ -1,5 +1,6 @@
 #include "runtime/runtime.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "support/panic.h"
@@ -286,37 +287,30 @@ Runtime::takeJobAbove(int below_cls)
         QueuedJob job;
         bool promoted = false;
         if (!aging) {
-            // Aging off: effective class == nominal class, so the
-            // rank-by-effective scan below degenerates to this strict
-            // priority order without the per-lane head peeks.
+            // Aging off: pickLane's identity case (effective class ==
+            // nominal class), popped in strict priority order without
+            // the per-lane head peeks and their lane locks.
             for (int c = 0; c < scan && !job.valid(); ++c)
                 job = _jobQueue.tryPopLane(c);
             if (!job.valid())
                 return nullptr;
         } else {
-            // Rank nonempty lanes by effective class — each lane's
-            // nominal class promoted by its head job's wait
-            // (ShedCore::effectiveClass) — with the nominal order
-            // breaking ties, so a starved Batch lane eventually
-            // outranks a saturated Latency lane.
-            int best = -1;
-            int best_eff = below_cls;
+            // Rank nonempty lanes by effective class: each lane's
+            // nominal class promoted by its head job's wait, so a
+            // starved Batch lane eventually outranks a saturated
+            // Latency lane. A submit racing the clock read above still
+            // marks a nonempty lane, so its wait floors at 0.
+            int64_t wait_ns[kNumJobClasses];
             for (int c = 0; c < kNumJobClasses; ++c) {
                 const int64_t head = _jobQueue.headSubmitNs(c);
-                if (head < 0)
-                    continue;
-                const int eff = _shed.effectiveClass(c, now - head);
-                if (eff < best_eff) {
-                    best_eff = eff;
-                    best = c;
-                }
+                wait_ns[c] = head < 0 ? -1 : std::max<int64_t>(0, now - head);
             }
+            const int best = _shed.pickLane(wait_ns, below_cls, promoted);
             if (best < 0)
                 return nullptr;
             job = _jobQueue.tryPopLane(best);
             if (!job.valid())
                 continue; // lost the lane to a concurrent claimer
-            promoted = best_eff < best;
         }
         JobState &s = *job.state;
         _shed.observeDelay(static_cast<int>(s.opts.cls),

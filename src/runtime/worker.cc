@@ -78,11 +78,9 @@ Worker::Worker(Runtime &runtime, int id, int place, uint64_t seed,
     // under board parking the deposit edge also wakes this worker's
     // parked socket from the same spot.
     const SchedPolicy &pol = runtime.options().sched;
-    if (pol.boardPublishing()) {
-        _mailbox.attachBoard(&runtime.board(), id);
-        if (pol.boardParking())
-            _mailbox.attachParking(&runtime.parkingLot(), place);
-    }
+    _mailbox.attachBoard(&runtime.board(), id);
+    if (pol.boardParking())
+        _mailbox.attachParking(&runtime.parkingLot(), place);
     // Cached so the spawn-boundary yield peek costs one bool when
     // preemption is off (the work-first price of the whole feature).
     _preemptEnabled = pol.serving.preempt;
@@ -121,8 +119,7 @@ Worker::publishOwnDequeAndNotify()
     // directive: under board parking only a 0 -> nonzero socket edge
     // can find sleepers worth waking.
     bool socket_edge = false;
-    if (_runtime.options().sched.boardPublishing()
-        && !_dequeBitPublished) {
+    if (!_dequeBitPublished) {
         socket_edge = _runtime.board().publishDeque(_id, true);
         _dequeBitPublished = true;
     }
@@ -148,7 +145,6 @@ Worker::pushTask(TaskBase *task)
 TaskBase *
 Worker::acquireLocal()
 {
-    const bool publishing = _runtime.options().sched.boardPublishing();
     // Work path first: the tail of the own deque...
     if (TaskBase *t = _deque.popTail()) {
         // Publish the *actual* state, not just the pop-to-empty edge: a
@@ -158,17 +154,13 @@ Worker::acquireLocal()
         // (unchanged) case one relaxed load. This is also the repair
         // point for the spawn path's published-bit cache, so it stays
         // an unconditional call.
-        if (publishing) {
-            const bool nonempty = !_deque.empty();
-            _runtime.board().publishDeque(_id, nonempty);
-            _dequeBitPublished = nonempty;
-        }
+        const bool nonempty = !_deque.empty();
+        _runtime.board().publishDeque(_id, nonempty);
+        _dequeBitPublished = nonempty;
         return t;
     }
-    if (publishing) {
-        _runtime.board().publishDeque(_id, false);
-        _dequeBitPublished = false;
-    }
+    _runtime.board().publishDeque(_id, false);
+    _dequeBitPublished = false;
     // ...then POPMAILBOX: a frame some worker parked here for this place.
     if (TaskBase *t = _mailbox.tryTake()) {
         ++_counters.mailboxTakes;
@@ -188,7 +180,6 @@ Worker::trySteal()
     _dataHeap.drainRemote();
     if (_runtime.numWorkers() <= 1)
         return nullptr;
-    const SchedPolicy &pol = _runtime.options().sched;
     // All decisions — dry-poll cadence, victim, mailbox-vs-deque
     // inspection order, batching — come from the core; this driver only
     // executes them against the real deques and mailboxes.
@@ -221,7 +212,7 @@ Worker::trySteal()
         }
         // The probe already paid for the cache traffic: repair the
         // victim's staleness (a 1-bit over an empty deque) for free.
-        if (pol.boardPublishing() && victim.deque().empty())
+        if (victim.deque().empty())
             _runtime.board().publishDeque(action.victim, false);
     }
     _core.onStealResult(action, task != nullptr);
@@ -404,11 +395,14 @@ Worker::executeTask(TaskBase *task)
                 ? static_cast<int8_t>(prev_job->opts.cls)
                 : static_cast<int8_t>(-1),
             std::memory_order_relaxed);
-    if (task->group() != nullptr)
-        task->group()->onChildDone();
-    // Frame release sits on both the normal and the exception path
-    // above: a thrown task body still recycles its frame.
+    // Release the frame before signalling the parent: once onChildDone
+    // lets the sync (or the whole run) complete, nothing may still hold
+    // a pool frame. The release sits on both the normal and the
+    // exception path above, so a thrown task body recycles its frame.
+    TaskGroup *const group = task->group();
     releaseTask(task);
+    if (group != nullptr)
+        group->onChildDone();
     // Liveness signal for the stall watchdog, one per completed task
     // body. This worker is the only writer, so a plain load+store
     // replaces a locked fetch_add; readers only need a torn-free value.
@@ -611,7 +605,6 @@ Worker::mainLoop()
     if (_interferenceEnabled)
         _pressureSensor.begin();
 
-    const SchedPolicy &pol = _runtime.options().sched;
     while (!_runtime.shuttingDown()) {
         if (_interferenceEnabled) {
             // Retirement check sits at the loop top, before job claims
@@ -678,12 +671,11 @@ Worker::mainLoop()
             if (_interferenceEnabled)
                 _pressureSensor.notePark(parked);
             // A wake that lands on a still-dry board bought nothing:
-            // the wakeup-storm metric the board policy is gated on
-            // (only meaningful when the board is being published). The
+            // the wakeup-storm metric the board policy is gated on. The
             // same verdict feeds the core's park tuner — quiescent-
             // runtime parks are skipped, they say nothing about in-run
             // wake latency.
-            if (pol.boardPublishing() && _runtime.workActive()) {
+            if (_runtime.workActive()) {
                 const bool found = _runtime.board().anyWorkFor(_place)
                                    || _runtime.jobPending();
                 if (!found)

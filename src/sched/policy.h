@@ -57,24 +57,6 @@ enum class PushTarget : uint8_t
     Board,
 };
 
-/** How the parking constants are set.
- *
- * Fixed reproduces PR 3: parkFallbackUs/parkTimerUs and the
- * parkSpinFailures budget are used as configured. Ewma derives both
- * from an EWMA of park outcomes observed by each worker's StealCore —
- * a park that ends productively (work was there on wake) argues for
- * spinning longer and sleeping shorter; a park that ends spurious or
- * dry argues the opposite — with the neutral prior sitting exactly at
- * the configured constants, so the two modes start identical and
- * diverge only with evidence (the same shape as the adaptive steal
- * escalation budget). See ParkTuner in sched/steal_core.h.
- */
-enum class ParkTuning : uint8_t
-{
-    Fixed,
-    Ewma,
-};
-
 /** Stable name for bench JSON / CLI ("timer" | "board"). */
 inline const char *
 parkPolicyName(ParkPolicy p)
@@ -97,19 +79,6 @@ pushTargetName(PushTarget t)
         return "random";
       case PushTarget::Board:
         return "board";
-    }
-    return "?";
-}
-
-/** Stable name for bench JSON / CLI ("fixed" | "ewma"). */
-inline const char *
-parkTuningName(ParkTuning t)
-{
-    switch (t) {
-      case ParkTuning::Fixed:
-        return "fixed";
-      case ParkTuning::Ewma:
-        return "ewma";
     }
     return "?";
 }
@@ -300,12 +269,8 @@ struct SchedPolicy
     /**
      * Victim-selection policy for hierarchical steals. The default is
      * the full informed policy (it soaked through PR 2's and PR 3's
-     * BENCH_victim_policy gates); VictimPolicy::Distance — PR 1's blind
-     * ladder — is retained purely as an escape hatch for debugging a
-     * suspect board (its ablation rows were retired in PR 4 after two
-     * PRs of green CI history on the informed default). Only consulted
-     * when hierarchicalSteals is on, so the paper-faithful flat
-     * configuration is unaffected.
+     * BENCH_victim_policy gates). Only consulted when hierarchicalSteals
+     * is on, so the paper-faithful flat configuration is unaffected.
      */
     VictimPolicy victimPolicy = VictimPolicy::OccupancyAffinity;
     /** Mailbox slots per worker (the paper's protocol is capacity 1). */
@@ -320,15 +285,11 @@ struct SchedPolicy
     /**
      * Fruitless scheduling-loop iterations (threaded engine) or probes
      * (simulator, when SimConfig::modelParking) a worker spins through
-     * before parking. The Ewma tuning scales this budget.
+     * before parking: the neutral prior of the EWMA park tuning
+     * (ParkTuner in sched/steal_core.h), which scales this budget and
+     * the park timeouts by each worker's observed park outcomes.
      */
     int parkSpinFailures = 64;
-    /** Fixed constants vs EWMA-derived parking knobs (see ParkTuning).
-     * Ewma became the default in PR 6 after two independent soaks (the
-     * PR 5 serialburst soak and a rerun against this tree) agreed:
-     * ~0.81x parks and ~0.67x spurious wakeups at unchanged makespan.
-     * ParkTuning::Fixed recovers the PR 3 constants for ablation. */
-    ParkTuning parkTuning = ParkTuning::Ewma;
     /** PUSHBACK receiver selection (see PushTarget). */
     PushTarget pushTarget = PushTarget::Board;
     /** Steal-half batching for remote-level (>= two-hop) steals. */
@@ -342,19 +303,12 @@ struct SchedPolicy
     ServingPolicy serving{};
 
     /** @name Derived predicates
-     * The single source of truth for "is the board in play" — every
-     * consumer (informed steals, board parking, board-guided PUSHBACK)
-     * forces publication, and a config with no consumer never pays a
-     * single RMW. */
+     * Which board consumers are in play. The board itself is always
+     * published: the EWMA park tuner reads its dry-park verdicts from
+     * it in every configuration (without publication the threaded
+     * engine's tuner would freeze at the neutral prior while the
+     * simulator, whose board is always exact, kept tuning). */
     /// @{
-    /** Informed victim selection active: the steal path reads the board. */
-    bool
-    boardInformed() const
-    {
-        return hierarchicalSteals
-               && victimPolicy != VictimPolicy::Distance;
-    }
-
     /** Idle workers park per socket and ride occupancy-edge wakes. */
     bool boardParking() const { return parkPolicy == ParkPolicy::Board; }
 
@@ -365,24 +319,12 @@ struct SchedPolicy
         return pushTarget == PushTarget::Board;
     }
 
-    /** Board publication active: the union of every board consumer.
-     * Ewma park tuning is a consumer too — its dry-park verdicts come
-     * from the board, so without publication the threaded engine's
-     * tuner would silently freeze at the neutral prior while the
-     * simulator (whose board is always exact) kept tuning, the exact
-     * cross-engine divergence this layer exists to prevent. */
-    bool
-    boardPublishing() const
-    {
-        return boardInformed() || boardParking() || boardPushTargeting()
-               || parkTuning == ParkTuning::Ewma;
-    }
-
-    /** Thief-side data-home affinity tracking feeds victim weighting. */
+    /** Thief-side data-home affinity tracking feeds victim weighting
+     * (hierarchical steals are the informed ones). */
     bool
     affinityTracking() const
     {
-        return boardInformed()
+        return hierarchicalSteals
                && victimPolicy == VictimPolicy::OccupancyAffinity;
     }
     /// @}

@@ -122,6 +122,34 @@ class ShedCore
     }
 
     /**
+     * The claim-time lane ranking both engines share: among the lanes
+     * whose head job has waited @p headWaitNs (negative == empty lane),
+     * the one with the best effectiveClass() strictly below @p below,
+     * nominal class breaking ties. With aging off the effective class
+     * is the nominal one, so this is plain strict-priority order.
+     * Returns -1 when no lane qualifies; @p promoted reports whether
+     * aging (not nominal rank) won the pick.
+     */
+    int
+    pickLane(const int64_t headWaitNs[kNumServingClasses], int below,
+             bool &promoted) const
+    {
+        int best = -1;
+        int best_eff = below;
+        for (int c = 0; c < kNumServingClasses; ++c) {
+            if (headWaitNs[c] < 0)
+                continue;
+            const int eff = effectiveClass(c, headWaitNs[c]);
+            if (eff < best_eff) {
+                best_eff = eff;
+                best = c;
+            }
+        }
+        promoted = best >= 0 && best_eff < best;
+        return best;
+    }
+
+    /**
      * Shed-aware unpark (ServingPolicy::unparkLeadPct): true when any
      * class's claim-delay EWMA has reached leadPct% of its QueueDelay
      * target — the early-warning signal the elastic pool uses to wake

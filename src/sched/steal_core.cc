@@ -10,7 +10,7 @@ StealCore::nextAction()
 {
     NUMAWS_ASSERT(_view.dist != nullptr);
     StealAction a;
-    const bool informed = _policy.boardInformed() && boardUsable();
+    const bool informed = _policy.hierarchicalSteals && boardUsable();
     const OccupancyBoard *board = _view.board;
     // Board poll in place of a probe: when nothing anywhere advertises
     // work, skip the victim probe entirely — that is the probe the board

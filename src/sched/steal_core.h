@@ -88,7 +88,7 @@ enum class WakeDirective : uint8_t
 };
 
 /**
- * EWMA-derived parking constants (ParkTuning::Ewma), one per worker.
+ * EWMA-derived parking constants, one per worker.
  *
  * One signal drives both knobs: the *dry-park rate* — the EWMA of park
  * episodes that bought nothing (woken onto a still-dry board, or timed
@@ -97,7 +97,8 @@ enum class WakeDirective : uint8_t
  * and a short fallback; a machine idling through parks wants the
  * opposite — park sooner, sleep longer. Both scales sit exactly at the
  * configured constants at the neutral prior 0.5, mirroring the adaptive
- * escalation budget's shape, so Fixed and Ewma start out identical:
+ * escalation budget's shape, so a fresh tuner runs the configured
+ * SchedPolicy constants and diverges only with evidence:
  *
  *   spinBudget    = clamp(2 * base * (1 - dryRate), max(1, base/4), 2*base)
  *   timeoutScale  = clamp(1 + 7 * (dryRate - 0.5), 0.5, 4.0)
@@ -110,19 +111,15 @@ class ParkTuner
   public:
     ParkTuner() = default;
 
-    ParkTuner(ParkTuning kind, int base_spin)
-        : _kind(kind), _baseSpin(base_spin > 0 ? base_spin : 1)
+    explicit ParkTuner(int base_spin)
+        : _baseSpin(base_spin > 0 ? base_spin : 1)
     {}
-
-    ParkTuning kind() const { return _kind; }
 
     /** A park episode ended; @p found_work == the wake-time probe saw
      * stealable work (productive park). */
     void
     observe(bool found_work)
     {
-        if (_kind != ParkTuning::Ewma)
-            return;
         _dryRate = (1.0 - kAlpha) * _dryRate
                    + kAlpha * (found_work ? 0.0 : 1.0);
     }
@@ -131,20 +128,16 @@ class ParkTuner
     double
     timeoutScale() const
     {
-        if (_kind != ParkTuning::Ewma)
-            return 1.0;
         // Steep enough that the clamps genuinely bind at sustained
         // evidence (the EWMA approaches but never reaches 0 or 1).
         const double s = 1.0 + 7.0 * (_dryRate - 0.5);
         return s < 0.5 ? 0.5 : (s > 4.0 ? 4.0 : s);
     }
 
-    /** Fruitless-step budget before parking; the base when Fixed. */
+    /** Fruitless-step budget before parking, in [base/4, 2*base]. */
     int
     spinBudget() const
     {
-        if (_kind != ParkTuning::Ewma)
-            return _baseSpin;
         const int lo = _baseSpin / 4 > 0 ? _baseSpin / 4 : 1;
         const int hi = 2 * _baseSpin;
         const int b = static_cast<int>(2.0 * _baseSpin * (1.0 - _dryRate)
@@ -158,9 +151,8 @@ class ParkTuner
   private:
     static constexpr double kAlpha = 0.25;
 
-    ParkTuning _kind = ParkTuning::Fixed;
     int _baseSpin = 1;
-    double _dryRate = 0.5; ///< neutral prior: Ewma starts at Fixed
+    double _dryRate = 0.5; ///< neutral prior: the configured constants
 };
 
 /** Decision counters the core maintains; engines fold them into their
@@ -235,7 +227,7 @@ class StealCore
           _rng(seed),
           _esc(escalationConfig(policy)),
           _push(policy.pushThreshold, policy.pushPolicy),
-          _tuner(policy.parkTuning, policy.parkSpinFailures)
+          _tuner(policy.parkSpinFailures)
     {}
 
     const SchedPolicy &policy() const { return _policy; }

@@ -166,7 +166,7 @@ class Simulation
                 const SimJob &job = (*_jobs)[j];
                 NUMAWS_ASSERT(job.root != kNoFrame);
                 NUMAWS_ASSERT(dag.frame(job.root).parent == kNoFrame);
-                NUMAWS_ASSERT(job.cls >= 0 && job.cls < kNumJobLanes);
+                NUMAWS_ASSERT(job.cls >= 0 && job.cls < kNumServingClasses);
                 NUMAWS_ASSERT(j == 0
                               || (*_jobs)[j - 1].arrivalCycles
                                      <= job.arrivalCycles);
@@ -417,8 +417,6 @@ class Simulation
 
     /** @name Serving mode (open-loop job admission, sim/serving.h) */
     /// @{
-    static constexpr int kNumJobLanes = 3;
-
     bool serving() const { return _jobs != nullptr; }
 
     /** Any admitted-but-unclaimed job? The sim's Runtime::jobPending():
@@ -453,41 +451,22 @@ class Simulation
         return cls;
     }
 
-    /** Pick the lane Runtime::takeJobAbove would pop: the nonempty
-     * lane with the best *effective* class strictly below @p below —
-     * nominal order when aging is off (byte-identical to the pre-aging
-     * scan), head-wait-promoted order when it is on, nominal class as
-     * the tie-break either way. Returns -1 when nothing qualifies;
-     * @p promoted reports whether aging (not nominal rank) won the
-     * pick. */
+    /** The lane Runtime::takeJobAbove would pop at @p now: each lane's
+     * head wait (-1 == empty) ranked by ShedCore::pickLane. */
     int
-    pickJobLane(double now, int below, bool &promoted)
+    claimableLane(double now, int below, bool &promoted) const
     {
-        promoted = false;
-        if (_cfg.sched.serving.agingWaitUs <= 0) {
-            const int scan = below < kNumJobLanes ? below : kNumJobLanes;
-            for (int lane = 0; lane < scan; ++lane)
-                if (!_jobLanes[lane].empty())
-                    return lane;
-            return -1;
-        }
-        int best = -1;
-        int best_eff = below < kNumJobLanes ? below : kNumJobLanes;
-        for (int lane = 0; lane < kNumJobLanes; ++lane) {
-            if (_jobLanes[lane].empty())
-                continue;
-            const double head =
-                (*_jobs)[_jobLanes[lane].front()].arrivalCycles;
-            const int eff = _shed.effectiveClass(
-                lane,
-                static_cast<int64_t>((now - head) / _machine.ghz()));
-            if (eff < best_eff) {
-                best_eff = eff;
-                best = lane;
+        int64_t wait_ns[kNumServingClasses];
+        for (int lane = 0; lane < kNumServingClasses; ++lane) {
+            const std::deque<int> &q = _jobLanes[lane];
+            wait_ns[lane] = -1;
+            if (!q.empty()) {
+                const double head = (*_jobs)[q.front()].arrivalCycles;
+                wait_ns[lane] = std::max<int64_t>(
+                    0, static_cast<int64_t>((now - head) / _machine.ghz()));
             }
         }
-        promoted = best >= 0 && best_eff < best;
-        return best;
+        return _shed.pickLane(wait_ns, below, promoted);
     }
 
     /** Service a raised yield directive at a Spawn boundary (the sim's
@@ -505,7 +484,7 @@ class Simulation
             return;
         const int my_cls = jobClsOfFrame(c.cur.frame);
         bool promoted = false;
-        if (pickJobLane(c.clock, my_cls, promoted) < 0)
+        if (claimableLane(c.clock, my_cls, promoted) < 0)
             return;
         ++_counters.yields;
         c.preempted.push_back(c.cur);
@@ -523,7 +502,7 @@ class Simulation
     {
         CoreState &c = _cores[core];
         bool promoted = false;
-        const int lane_pick = pickJobLane(c.clock, below, promoted);
+        const int lane_pick = claimableLane(c.clock, below, promoted);
         if (lane_pick < 0)
             return std::nullopt;
         auto &lane = _jobLanes[lane_pick];
@@ -600,11 +579,11 @@ class Simulation
         // Runtime::enqueueJob): an arrival into empty lanes is the
         // server's next unit of work, never a victim.
         bool standing = false;
-        for (int lane = 0; lane < kNumJobLanes; ++lane)
+        for (int lane = 0; lane < kNumServingClasses; ++lane)
             standing |= !_jobLanes[lane].empty();
         _jobLanes[job.cls].push_back(j);
         if (standing && _shed.overloaded()) {
-            for (int lane = kNumJobLanes - 1; lane >= 0; --lane) {
+            for (int lane = kNumServingClasses - 1; lane >= 0; --lane) {
                 if (_jobLanes[lane].empty())
                     continue;
                 const int victim = _jobLanes[lane].front();
@@ -720,7 +699,7 @@ class Simulation
     double _firstShedCross = 0.0;
     std::size_t _nextArrival = 0;
     /** Admitted, unclaimed job indices per class (JobQueue's lanes). */
-    std::deque<int> _jobLanes[kNumJobLanes];
+    std::deque<int> _jobLanes[kNumServingClasses];
     std::size_t _jobsFinished = 0;
     uint32_t _admitCursor = 0;
     /** Overload-protection brain, the same ShedCore the threaded
@@ -1125,7 +1104,7 @@ Simulation::stepSchedulingLoop(int core)
     // Charged like a mailbox inspection — the JobQueue pop is one
     // locked deque operation of the same shape.
     if (serving()) {
-        if (auto claimed = tryClaimJob(core, kNumJobLanes))
+        if (auto claimed = tryClaimJob(core, kNumServingClasses))
             return *claimed;
     }
 

@@ -142,10 +142,11 @@ struct SimConfig
      * NUMA-WS plus every adaptive extension: hierarchical victim search
      * with escalation, the congestion-adaptive pushing threshold, and
      * remote steal-half batching, on the shipped SchedPolicy defaults —
-     * the OccupancyAffinity informed ladder (PR 3) and, since PR 4, the
-     * Board parking/PUSHBACK protocols. Pass VictimPolicy::Distance /
-     * ParkPolicy::Timer / PushTarget::Random explicitly for the retired
-     * blind baselines.
+     * the OccupancyAffinity informed ladder (PR 3), the Board
+     * parking/PUSHBACK protocols (PR 4) and EWMA park tuning. Pass
+     * ParkPolicy::Timer / PushTarget::Random explicitly for the blind
+     * wake/receiver baselines; flat search (hierarchicalSteals = false)
+     * is the blind victim-selection baseline.
      */
     static SimConfig
     adaptiveNumaWs()

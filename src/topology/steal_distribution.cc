@@ -10,8 +10,6 @@ const char *
 victimPolicyName(VictimPolicy p)
 {
     switch (p) {
-      case VictimPolicy::Distance:
-        return "distance";
       case VictimPolicy::Occupancy:
         return "occupancy";
       case VictimPolicy::OccupancyAffinity:
@@ -245,8 +243,6 @@ StealDistribution::weightOf(int thief, int victim, VictimPolicy policy,
                              + _workerSocket[victim]],
                  2);
     double w = _weights.perHop[h];
-    if (policy == VictimPolicy::Distance)
-        return w;
     if (live) {
         w *= _occupancyBoost;
         // Affinity refines the choice *among live candidates* only: a
@@ -315,8 +311,7 @@ StealDistribution::sampleVictim(int thief, int level, VictimPolicy policy,
                                 uint32_t affinity_sockets, Rng &rng) const
 {
     NUMAWS_ASSERT(_numWorkers > 1);
-    if (policy == VictimPolicy::Distance || board == nullptr
-        || !board->enabled())
+    if (board == nullptr || !board->enabled())
         return sampleAtLevel(thief, level, rng);
     level = std::min(std::max(level, 0), kNumStealLevels - 1);
     return sampleFromSnap(thief, level, policy, *board, Snap(*board),
@@ -333,7 +328,7 @@ StealDistribution::sampleVictimInformed(int thief, int *level_io,
     NUMAWS_ASSERT(_numWorkers > 1);
     NUMAWS_ASSERT(level_io != nullptr);
     int level = std::min(std::max(*level_io, 0), kNumStealLevels - 1);
-    if (policy == VictimPolicy::Distance || !board.enabled()) {
+    if (!board.enabled()) {
         *level_io = level;
         return sampleAtLevel(thief, level, rng);
     }

@@ -34,24 +34,21 @@ namespace numaws {
 /**
  * How hierarchical victim selection uses runtime information.
  *
- * Distance reproduces PR 1's blind ladder: uniform sampling within the
- * escalation radius, ordered by topology alone. Occupancy additionally
- * consults the OccupancyBoard: provably-dry levels are skipped without
- * burning the failures-per-level budget, and victims with published work
- * are weighted up. OccupancyAffinity further boosts victims on sockets
- * that home the thief's current data regions (PageMap/NumaArena homing in
- * the runtime; region homes in the simulator), so a thief gravitates to
- * the socket its working set lives on. Each step is separately ablatable.
+ * Occupancy consults the OccupancyBoard: provably-dry levels are skipped
+ * without burning the failures-per-level budget, and victims with
+ * published work are weighted up. OccupancyAffinity further boosts
+ * victims on sockets that home the thief's current data regions
+ * (PageMap/NumaArena homing in the runtime; region homes in the
+ * simulator), so a thief gravitates to the socket its working set lives
+ * on. Flat (non-hierarchical) search is the blind baseline.
  */
 enum class VictimPolicy : uint8_t
 {
-    Distance,
     Occupancy,
     OccupancyAffinity,
 };
 
-/** Stable name for bench JSON / CLI ("distance", "occupancy",
- * "occupancy+affinity"). */
+/** Stable name for bench JSON / CLI ("occupancy", "occupancy+affinity"). */
 const char *victimPolicyName(VictimPolicy p);
 
 /** Floor for the occupancy weight multiplier. The effective boost is
@@ -373,8 +370,8 @@ class StealDistribution
 
     /**
      * Weighted sample among victims at level <= @p level per
-     * victimWeight(); VictimPolicy::Distance (or a null/empty board)
-     * degenerates to sampleAtLevel(). Never returns the thief. No
+     * victimWeight(); a null/empty board degenerates to
+     * sampleAtLevel(). Never returns the thief. No
      * level-skip — engines use sampleVictimInformed(), which performs
      * skip and sample against one board snapshot.
      */

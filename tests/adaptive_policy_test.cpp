@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "mem/numa_arena.h"
@@ -289,27 +291,22 @@ TEST(AdaptiveRuntime, FibMatchesSerialUnderAllKnobCombinations)
     }
 }
 
-TEST(AdaptiveSim, InformedPoliciesMatchWorkOfDistance)
+TEST(AdaptiveSim, InformedPoliciesMatchWorkOfFlatSearch)
 {
     // Victim policy changes where thieves look, never what executes.
     const sim::ComputationDag dag = placeZeroHeavyDag(8, 4, 2000.0);
-    sim::SimResult base;
-    bool first = true;
+    sim::SimConfig flat = sim::SimConfig::adaptiveNumaWs();
+    flat.sched.hierarchicalSteals = false;
+    const sim::SimResult base = sim::simulatePacked(dag, 16, flat);
+    EXPECT_EQ(base.counters.levelSkips, 0u); // blind search
     for (const VictimPolicy policy :
-         {VictimPolicy::Distance, VictimPolicy::Occupancy,
-          VictimPolicy::OccupancyAffinity}) {
+         {VictimPolicy::Occupancy, VictimPolicy::OccupancyAffinity}) {
         sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
         cfg.sched.victimPolicy = policy;
         const sim::SimResult r = sim::simulatePacked(dag, 16, cfg);
-        if (first) {
-            base = r;
-            first = false;
-            EXPECT_EQ(r.counters.levelSkips, 0u); // blind ladder
-        } else {
-            EXPECT_EQ(r.counters.strandsExecuted,
-                      base.counters.strandsExecuted);
-            EXPECT_EQ(r.counters.spawns, base.counters.spawns);
-        }
+        EXPECT_EQ(r.counters.strandsExecuted,
+                  base.counters.strandsExecuted);
+        EXPECT_EQ(r.counters.spawns, base.counters.spawns);
     }
 }
 
@@ -322,14 +319,13 @@ TEST(AdaptiveSim, InformedPolicySkipsProbesOnHintedWork)
     cfg.sched.victimPolicy = VictimPolicy::Occupancy;
     const sim::SimResult r = sim::simulatePacked(dag, 16, cfg);
 
-    // adaptiveNumaWs() defaults to OccupancyAffinity since PR 3: the
-    // blind baseline must ask for the Distance ladder explicitly.
+    // Flat search is the blind baseline: it never consults the board.
     sim::SimConfig blind = sim::SimConfig::adaptiveNumaWs();
-    blind.sched.victimPolicy = VictimPolicy::Distance;
+    blind.sched.hierarchicalSteals = false;
     const sim::SimResult rb = sim::simulatePacked(dag, 16, blind);
 
     EXPECT_GT(r.counters.levelSkips + r.counters.boardDryPolls, 0u);
-    // The informed policy must not probe more than the blind ladder.
+    // The informed policy must not probe more than blind search.
     EXPECT_LE(r.counters.stealAttempts, rb.counters.stealAttempts);
     // And the starving-worker invariant still holds (work completes).
     EXPECT_EQ(r.counters.strandsExecuted, rb.counters.strandsExecuted);
@@ -340,8 +336,7 @@ TEST(AdaptiveRuntime, VictimPoliciesComputeCorrectResults)
     const int n = 18;
     const uint64_t expected = workloads::fibSerial(n);
     for (const VictimPolicy policy :
-         {VictimPolicy::Distance, VictimPolicy::Occupancy,
-          VictimPolicy::OccupancyAffinity}) {
+         {VictimPolicy::Occupancy, VictimPolicy::OccupancyAffinity}) {
         RuntimeOptions o;
         o.numWorkers = 4;
         o.numPlaces = 2;
@@ -399,34 +394,29 @@ TEST(AdaptiveRuntime, EscalationCountersAdvanceUnderStarvation)
 {
     // Two workers, almost no work: steal attempts mostly fail, so the
     // hierarchical ladder must widen (the counter proves escalation ran).
+    // Under the informed default a starving worker's dry-board polls
+    // replace three probes in four, but every fourth still probes and
+    // fails. Timer parking keeps the starving worker re-probing every
+    // period instead of sleeping on its own socket's slot.
     RuntimeOptions o;
     o.numWorkers = 2;
     o.numPlaces = 2;
     o.sched.hierarchicalSteals = true;
-    // Pin the blind ladder: under the OccupancyAffinity default a
-    // starving worker's dry-board polls *replace* failed probes, so
-    // escalation can legitimately never fire here. Pin timer parking
-    // too: under the Board default the starving worker sleeps through
-    // these microsecond-long runs on its own socket's slot (spawn
-    // edges wake socket 0 only — the designed bounded-delay trade) and
-    // may make zero probes before each run ends.
-    o.sched.victimPolicy = VictimPolicy::Distance;
     o.sched.parkPolicy = ParkPolicy::Timer;
     Runtime rt(o);
-    // On a contended 1-core host the starving worker may not get
-    // scheduled at all during one of these microsecond-long runs (the
-    // -j2 regime flushed exactly that flake out of a fixed 20-run
-    // count), so run until the counter proves the ladder widened, with
-    // a generous bound.
+    // Workers probe only while work is active, so keep one root running
+    // until the counter moves (on a contended host the starving worker
+    // may not be scheduled for a while), with a generous bound.
     uint64_t escalations = 0;
-    for (int rep = 0; rep < 2000 && escalations == 0; ++rep) {
-        rt.run([] {
-            TaskGroup g;
-            g.spawn([] {});
-            g.sync();
-        });
-        escalations = rt.stats().counters.escalations;
-    }
+    rt.run([&] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (escalations == 0
+               && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+            escalations = rt.stats().counters.escalations;
+        }
+    });
     EXPECT_GT(escalations, 0u);
 }
 

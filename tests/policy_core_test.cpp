@@ -231,7 +231,6 @@ fullPolicy()
     p.escalationPolicy = EscalationPolicy::Adaptive;
     p.pushPolicy.kind = PushPolicyKind::Adaptive;
     p.remoteStealHalf = true;
-    p.parkTuning = ParkTuning::Ewma;
     p.parkSpinFailures = 4; // park often: exercise the tuner
     return p;
 }
@@ -313,21 +312,13 @@ TEST(EngineParity, SameSeedSameTraceAcrossRuns)
 // EWMA park tuning
 // ---------------------------------------------------------------------
 
-TEST(ParkTuner, FixedIgnoresEvidence)
-{
-    ParkTuner t(ParkTuning::Fixed, 64);
-    for (int i = 0; i < 100; ++i)
-        t.observe(/*found_work=*/false);
-    EXPECT_EQ(t.spinBudget(), 64);
-    EXPECT_DOUBLE_EQ(t.timeoutScale(), 1.0);
-}
-
-TEST(ParkTuner, NeutralPriorMatchesFixedConstants)
+TEST(ParkTuner, NeutralPriorMatchesConfiguredConstants)
 {
     // The same shape as the adaptive escalation budget: at the neutral
-    // prior the Ewma knobs equal the configured constants, so the two
-    // modes start identical and diverge only with evidence.
-    ParkTuner t(ParkTuning::Ewma, 64);
+    // prior the tuned knobs equal the configured constants, so a fresh
+    // worker runs the SchedPolicy values and diverges only with
+    // evidence.
+    ParkTuner t(64);
     EXPECT_DOUBLE_EQ(t.dryRate(), 0.5);
     EXPECT_EQ(t.spinBudget(), 64);
     EXPECT_DOUBLE_EQ(t.timeoutScale(), 1.0);
@@ -335,7 +326,7 @@ TEST(ParkTuner, NeutralPriorMatchesFixedConstants)
 
 TEST(ParkTuner, ProductiveParksRaiseSpinAndShortenTimeouts)
 {
-    ParkTuner t(ParkTuning::Ewma, 64);
+    ParkTuner t(64);
     for (int i = 0; i < 64; ++i)
         t.observe(/*found_work=*/true);
     EXPECT_LT(t.dryRate(), 0.01);
@@ -345,7 +336,7 @@ TEST(ParkTuner, ProductiveParksRaiseSpinAndShortenTimeouts)
 
 TEST(ParkTuner, DryParksCutSpinAndStretchTimeouts)
 {
-    ParkTuner t(ParkTuning::Ewma, 64);
+    ParkTuner t(64);
     for (int i = 0; i < 64; ++i)
         t.observe(/*found_work=*/false);
     EXPECT_GT(t.dryRate(), 0.99);
@@ -355,7 +346,7 @@ TEST(ParkTuner, DryParksCutSpinAndStretchTimeouts)
 
 TEST(ParkTuner, BudgetNeverLeavesItsClamps)
 {
-    ParkTuner t(ParkTuning::Ewma, 2);
+    ParkTuner t(2);
     Rng rng(7);
     for (int i = 0; i < 1000; ++i) {
         t.observe(rng.flip());
@@ -369,7 +360,6 @@ TEST(ParkTuner, BudgetNeverLeavesItsClamps)
 TEST(StealCorePark, EwmaTuningMovesTheCoreTimeout)
 {
     SchedPolicy p;
-    p.parkTuning = ParkTuning::Ewma;
     ASSERT_TRUE(p.boardParking()); // PR 4 default
     const Machine machine = Machine::paperMachineSubset(8);
     StealDistribution dist(machine, 8, p.biasWeights);

@@ -166,6 +166,51 @@ TEST(Aging, DisabledKnobIsTheNominalIdentity)
     EXPECT_EQ(off.effectiveClass(1, 1'000'000'000), 1);
 }
 
+TEST(Aging, PickLaneRanksLanesByEffectiveClass)
+{
+    // One table drives the claim-time ranking both engines call: head
+    // waits per lane in ns (-1 == empty lane), the exclusive class
+    // bound, and the expected lane / promotion verdict.
+    struct Row
+    {
+        const char *what;
+        int agingWaitUs;
+        int64_t waits[kNumServingClasses];
+        int below;
+        int lane;
+        bool promoted;
+    };
+    const Row rows[] = {
+        {"aging off: nominal order", 0, {-1, 5, 1'000'000'000}, 3, 1,
+         false},
+        {"aging off: long wait never promotes", 0,
+         {0, 0, 1'000'000'000}, 3, 0, false},
+        {"aging on: starved batch outranks normal", 100,
+         {-1, 0, 200'000}, 3, 2, true},
+        {"aging on: tie goes to the nominal class", 100,
+         {-1, 0, 100'000}, 3, 1, false},
+        {"aging on: fresh lanes keep nominal order", 100, {0, 0, 0}, 3,
+         0, false},
+        {"below 1: only lane 0 qualifies", 0, {0, 0, -1}, 1, 0,
+         false},
+        {"below bound admits only strictly better lanes", 0,
+         {-1, 0, 0}, 1, -1, false},
+        {"aging lifts a lane past the below bound", 100,
+         {-1, -1, 200'000}, 1, 2, true},
+        {"all lanes empty", 100, {-1, -1, -1}, 3, -1, false},
+        {"below 0 admits nothing", 100, {0, 0, 0}, 0, -1, false},
+    };
+    for (const Row &r : rows) {
+        ServingPolicy p;
+        p.agingWaitUs = r.agingWaitUs;
+        const ShedCore core(p);
+        bool promoted = !r.promoted; // must be overwritten
+        EXPECT_EQ(core.pickLane(r.waits, r.below, promoted), r.lane)
+            << r.what;
+        EXPECT_EQ(promoted, r.promoted) << r.what;
+    }
+}
+
 TEST(UnparkPressure, FiresAtTheConfiguredFractionOfTheShedTarget)
 {
     ServingPolicy p;

@@ -405,7 +405,6 @@ boardFor(const StealDistribution &d)
 
 TEST(VictimPolicyNames, AreStable)
 {
-    EXPECT_STREQ(victimPolicyName(VictimPolicy::Distance), "distance");
     EXPECT_STREQ(victimPolicyName(VictimPolicy::Occupancy), "occupancy");
     EXPECT_STREQ(victimPolicyName(VictimPolicy::OccupancyAffinity),
                  "occupancy+affinity");
@@ -532,20 +531,6 @@ TEST(VictimSampling, ConcentratesOnTheOccupiedVictim)
     // Occupied victim 6 carries 16/(16 + 6) of the level weight.
     EXPECT_GT(counts.fraction(6), 0.6);
     EXPECT_EQ(counts.count(0), 0);
-}
-
-TEST(VictimSampling, DistancePolicyIgnoresTheBoard)
-{
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 32, BiasWeights{});
-    OccupancyBoard board = boardFor(d);
-    board.publishDeque(24, true);
-    Rng rng_a(11), rng_b(11);
-    for (int i = 0; i < 1000; ++i) {
-        EXPECT_EQ(d.sampleVictim(0, kLevelPlace, VictimPolicy::Distance,
-                                 &board, 0, rng_a),
-                  d.sampleAtLevel(0, kLevelPlace, rng_b));
-    }
 }
 
 TEST(VictimSampling, SingleSocketDegenerateStaysValid)
