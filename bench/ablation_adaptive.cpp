@@ -48,11 +48,6 @@ struct Variant
         if (hierarchical()) {
             c.sched.hierarchicalSteals = true;
             c.sched.remoteStealHalf = true;
-            // The hierarchical rows measure the *shipped* ladder, whose
-            // victim policy PR 3 flipped to OccupancyAffinity after the
-            // PR 2 soak — the acceptance gate below compares the new
-            // default, not the retired blind ladder.
-            c.sched.victimPolicy = VictimPolicy::OccupancyAffinity;
         }
         return c;
     }

@@ -46,9 +46,8 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
+#include "serving_harness.h"
 #include "sim/interference.h"
-#include "sim/serving.h"
 #include "topology/affinity.h"
 
 using namespace numaws;
@@ -207,14 +206,14 @@ struct ThreadedRun
     double p99_us = 0.0;
     double queue_p99_us = 0.0;
     double goodput = 0.0;
-    uint64_t done = 0, other = 0;
+    uint64_t done = 0;
     uint64_t retires = 0, reinstates = 0;
     bool reexpanded = true; ///< retired gauge back to 0 post-storm
 };
 
 ThreadedRun
-runThreadedStream(Runtime &rt, const std::vector<double> &arrival_ns,
-                  bool expect_reexpand)
+runSqueezeStream(Runtime &rt, const std::vector<double> &arrival_ns,
+                 bool expect_reexpand)
 {
     std::atomic<bool> stop{false};
     std::vector<std::thread> corunners;
@@ -223,40 +222,15 @@ runThreadedStream(Runtime &rt, const std::vector<double> &arrival_ns,
                                std::cref(stop));
     // Let the squeeze register: a few pressure epochs under load so an
     // adapting runtime has converged before the measured stream.
-    for (int i = 1; i <= 8; ++i)
-        submitSerialJob(rt, i).wait();
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    rt.resetStats();
-
-    std::vector<JobHandle> handles;
-    handles.reserve(arrival_ns.size());
-    const int64_t t0 = nowNs();
-    for (std::size_t i = 0; i < arrival_ns.size(); ++i) {
-        const int64_t target = t0 + static_cast<int64_t>(arrival_ns[i]);
-        while (nowNs() < target) {
-            if (target - nowNs() > 200000)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(100));
-        }
-        handles.push_back(submitSerialJob(rt, static_cast<int>(i)));
-    }
-    for (JobHandle &h : handles)
-        h.wait();
+    const OpenLoop ol = runOpenLoop(
+        rt, Warmup{1, 8, std::chrono::milliseconds(200)}, arrival_ns,
+        [&rt](int i, bool) { return submitSerialJob(rt, i); });
 
     ThreadedRun r;
-    r.elapsed_s = static_cast<double>(nowNs() - t0) * 1e-9;
-    std::vector<double> lat_us, queue_us;
-    for (JobHandle &h : handles) {
-        if (h.outcome() == JobOutcome::Done) {
-            ++r.done;
-            lat_us.push_back(static_cast<double>(h.latencyNs()) / 1000.0);
-            queue_us.push_back(static_cast<double>(h.queueNs()) / 1000.0);
-        } else {
-            ++r.other;
-        }
-    }
-    r.p99_us = exactQuantile(lat_us, 0.99);
-    r.queue_p99_us = exactQuantile(queue_us, 0.99);
+    r.elapsed_s = ol.elapsed_s;
+    r.done = ol.count(JobOutcome::Done);
+    r.p99_us = exactQuantile(ol.latenciesUs(), 0.99);
+    r.queue_p99_us = exactQuantile(ol.queueDelaysUs(), 0.99);
     r.goodput = static_cast<double>(r.done) / r.elapsed_s;
 
     stop.store(true, std::memory_order_relaxed);
@@ -283,16 +257,7 @@ int
 main(int argc, char **argv)
 {
     const Cli cli(argc, argv);
-    const BenchArgs args(cli);
-    const std::string json_path =
-        cli.getString("json", "BENCH_interference.json");
-    const uint64_t first_seed =
-        static_cast<uint64_t>(cli.getInt("seed", 0x5eed));
-    const int num_seeds =
-        std::max(1, static_cast<int>(cli.getInt("seeds", 3)));
-    const int reps =
-        std::max(1, static_cast<int>(cli.getInt("reps", 2)));
-    const bool skip_threaded = cli.getBool("skip-threaded", false);
+    const ServingArgs args(cli, "BENCH_interference.json", 2);
     const int bursts = args.scale >= 1.0 ? 12 : 6;
     const int sim_jobs = kBurstJobs * bursts;
 
@@ -300,14 +265,14 @@ main(int argc, char **argv)
     bool ok = true;
 
     // ---- Simulated rows + deterministic gates ----
-    sim::ComputationDag dag;
-    std::vector<sim::FrameId> roots;
     const auto body = fibDag(1, kJobCycles); // one serial strand
-    for (int i = 0; i < sim_jobs; ++i)
-        roots.push_back(dag.append(body));
+    const SimMix mix = buildSimMix(
+        sim_jobs, [&body](int i) { return MixSlot{&body, i % 3}; });
+    const sim::ComputationDag &dag = mix.dag;
     std::vector<sim::SimJob> jobs(sim_jobs);
     for (int i = 0; i < sim_jobs; ++i)
-        jobs[i] = {roots[i], (i / kBurstJobs) * kBurstGapCycles, i % 3};
+        jobs[i] = {mix.roots[i], (i / kBurstJobs) * kBurstGapCycles,
+                   mix.classes[i]};
 
     const SimScenario scenarios[] = {
         {"calm", false, 0},
@@ -334,23 +299,23 @@ main(int argc, char **argv)
             sc.trace == 0 ? nullptr : &tr;
         double elapsed = 0.0, p99 = 0.0;
         double retires = 0.0, reexp = 0.0, stolen = 0.0, slowed = 0.0;
-        for (int s = 0; s < num_seeds; ++s) {
-            const uint64_t seed = first_seed + 7919ULL * s;
+        for (int s = 0; s < args.seeds; ++s) {
+            const uint64_t seed = simSeed(args.firstSeed, s);
             sim::ServingResult r = runSimScenario(
                 dag, jobs, args.cores, seed, sc.adapt, trp);
             report.addRow(simRow(sc, args.cores, seed, r));
-            elapsed += r.sim.elapsedCycles / num_seeds;
-            p99 += r.p99Us / num_seeds;
+            elapsed += r.sim.elapsedCycles / args.seeds;
+            p99 += r.p99Us / args.seeds;
             retires += static_cast<double>(
                            r.sim.counters.interferenceRetires)
-                       / num_seeds;
+                       / args.seeds;
             reexp += static_cast<double>(
                          r.sim.counters.interferenceReexpands)
-                     / num_seeds;
+                     / args.seeds;
             stolen += static_cast<double>(r.sim.counters.stolenCycles)
-                      / num_seeds;
+                      / args.seeds;
             slowed += static_cast<double>(r.sim.counters.slowedCycles)
-                      / num_seeds;
+                      / args.seeds;
             results[i].push_back(std::move(r));
         }
         t.addRow({sc.name, sc.adapt ? "adapt" : "off",
@@ -369,7 +334,7 @@ main(int argc, char **argv)
     double worst_elapsed_ratio = 0.0, worst_p99_ratio = 0.0;
     double min_retires = 1e30, min_stolen = 1e30, min_slowed = 1e30;
     double min_window_margin = 1e30;
-    for (int s = 0; s < num_seeds; ++s) {
+    for (int s = 0; s < args.seeds; ++s) {
         const sim::ServingResult &off = results[1][s];
         const sim::ServingResult &adapt = results[2][s];
         worst_elapsed_ratio =
@@ -401,30 +366,22 @@ main(int argc, char **argv)
         const sim::InterferenceTrace empty;
         const SimScenario calm = scenarios[0];
         const sim::ServingResult null_run = runSimScenario(
-            dag, jobs, args.cores, first_seed, false, nullptr);
+            dag, jobs, args.cores, args.firstSeed, false, nullptr);
         const sim::ServingResult empty_run = runSimScenario(
-            dag, jobs, args.cores, first_seed, false, &empty);
-        const bool same_empty =
-            simRow(calm, args.cores, first_seed, null_run).str()
-            == simRow(calm, args.cores, first_seed, empty_run).str();
-        std::printf("  gate %-52s %s\n",
-                    "sim empty trace byte-identical to no trace",
-                    same_empty ? "ok" : "FAIL");
-        ok &= same_empty;
+            dag, jobs, args.cores, args.firstSeed, false, &empty);
+        ok &= gateIdentical(
+            "sim empty trace byte-identical to no trace",
+            simRow(calm, args.cores, args.firstSeed, null_run).str(),
+            simRow(calm, args.cores, args.firstSeed, empty_run).str());
 
         const sim::InterferenceTrace storm = traceFor(1);
         const SimScenario sc = scenarios[2];
-        const sim::ServingResult a = runSimScenario(
-            dag, jobs, args.cores, first_seed, true, &storm);
-        const sim::ServingResult b = runSimScenario(
-            dag, jobs, args.cores, first_seed, true, &storm);
-        const bool same_adapt =
-            simRow(sc, args.cores, first_seed, a).str()
-            == simRow(sc, args.cores, first_seed, b).str();
-        std::printf("  gate %-52s %s\n",
-                    "sim adapt storm rows byte-identical",
-                    same_adapt ? "ok" : "FAIL");
-        ok &= same_adapt;
+        ok &= gateReplaysIdentically(
+            "sim adapt storm rows byte-identical", [&] {
+                return simRow(sc, args.cores, args.firstSeed,
+                              runSimScenario(dag, jobs, args.cores,
+                                             args.firstSeed, true, &storm));
+            });
     }
 
     std::printf("\nSim interference gates:\n");
@@ -439,7 +396,7 @@ main(int argc, char **argv)
                   min_window_margin, 0.0);
 
     // ---- Threaded rows + gates ----
-    if (!skip_threaded) {
+    if (!args.skipThreaded) {
         const int host_cpus = hostCpuCount();
         if (host_cpus < kWorkers + 2) {
             std::printf("\nThreaded interference skipped: %d host CPUs "
@@ -450,27 +407,15 @@ main(int argc, char **argv)
             // at a rate the squeezed Adapt worker-set still absorbs
             // (about 0.73x its capacity), so Off's p99 shows the 3x
             // claim tail rather than an unstable queue in both runs.
-            double capacity_per_s = 0.0;
-            {
-                RuntimeOptions o;
-                o.numWorkers = kWorkers;
-                o.numPlaces = 2;
-                o.pinThreads = true;
-                o.sched.parkSpinFailures = 1 << 30;
-                Runtime rt(o);
-                for (int i = 1; i <= 8; ++i)
-                    submitSerialJob(rt, i).wait();
-                const int burst = 64;
-                std::vector<JobHandle> hs;
-                hs.reserve(burst);
-                const int64_t b0 = nowNs();
-                for (int i = 0; i < burst; ++i)
-                    hs.push_back(submitSerialJob(rt, i));
-                for (JobHandle &h : hs)
-                    h.wait();
-                capacity_per_s =
-                    burst / (static_cast<double>(nowNs() - b0) * 1e-9);
-            }
+            RuntimeOptions pinned = servingRuntimeOptions(kWorkers, true);
+            pinned.pinThreads = true;
+            // The 8 probe jobs only warm the pinned workers.
+            const double capacity_per_s =
+                calibrate(pinned, 1, 8, 64,
+                          [](Runtime &rt, int i) {
+                              return submitSerialJob(rt, i);
+                          })
+                    .capacityPerS;
             const double rate = 0.55 * capacity_per_s;
             const int n_jobs = std::max(
                 300, std::min(6000, static_cast<int>(3.0 * rate)));
@@ -487,14 +432,10 @@ main(int argc, char **argv)
             bool reexpand_ok = true;
             for (int knob = 0; knob < 2; ++knob) {
                 const bool adapt = knob == 1;
-                RuntimeOptions o;
-                o.numWorkers = kWorkers;
-                o.numPlaces = 2;
-                o.pinThreads = true;
                 // Spin instead of idle-parking: a parked worker's ~ms
                 // wake latency is tail noise the comparison must not
                 // carry. Retirement parks through its own path.
-                o.sched.parkSpinFailures = 1 << 30;
+                RuntimeOptions o = pinned;
                 o.sched.serving.interference =
                     adapt ? InterferencePolicy::Adapt
                           : InterferencePolicy::Off;
@@ -508,15 +449,12 @@ main(int argc, char **argv)
                 Runtime rt(o);
                 double p99 = 0.0, q99 = 0.0, done = 0.0;
                 double k_retires = 0.0, k_reinst = 0.0;
-                for (int rep = 0; rep < reps; ++rep) {
-                    sim::ArrivalProcess p;
-                    p.ratePerSec = rate;
-                    p.seed = first_seed + 104729ULL * rep;
-                    // ghz=1.0 makes arrivalCycles return nanoseconds.
-                    const auto arrivals =
-                        sim::arrivalCycles(p, n_jobs, 1.0);
-                    const ThreadedRun r =
-                        runThreadedStream(rt, arrivals, adapt);
+                for (int rep = 0; rep < args.reps; ++rep) {
+                    const ThreadedRun r = runSqueezeStream(
+                        rt,
+                        poissonArrivalsNs(rate, n_jobs,
+                                          repSeed(args.firstSeed, rep)),
+                        adapt);
                     (adapt ? adapt_p99 : off_p99).push_back(r.p99_us);
                     k_retires += static_cast<double>(r.retires);
                     k_reinst += static_cast<double>(r.reinstates);
@@ -524,15 +462,15 @@ main(int argc, char **argv)
                         t_retires += static_cast<double>(r.retires);
                         reexpand_ok &= r.reexpanded;
                     }
-                    p99 += r.p99_us / reps;
-                    q99 += r.queue_p99_us / reps;
-                    done += static_cast<double>(r.done) / reps;
+                    p99 += r.p99_us / args.reps;
+                    q99 += r.queue_p99_us / args.reps;
+                    done += static_cast<double>(r.done) / args.reps;
                     report.addRow(
                         interferenceRow(
                             "threaded", "squeeze",
                             adapt ? "adapt" : "off", "corunner",
                             kCorunners, kWorkers,
-                            first_seed + 104729ULL * rep,
+                            repSeed(args.firstSeed, rep),
                             static_cast<std::size_t>(n_jobs),
                             r.elapsed_s, r.p99_us, r.queue_p99_us,
                             r.goodput, r.done, r.retires, r.reinstates,
@@ -570,13 +508,5 @@ main(int argc, char **argv)
         }
     }
 
-    report.writeFile(json_path);
-    std::printf("\nwrote %zu rows to %s\n", report.numRows(),
-                json_path.c_str());
-
-    if (!ok) {
-        std::printf("FAIL: interference acceptance gate violated\n");
-        return 1;
-    }
-    return 0;
+    return finishReport(report, args, ok, "interference");
 }

@@ -23,8 +23,10 @@
  *     1.25x the uncontended (none@half) Latency-class p99,
  *  2. goodput: queue_delay@2x completes >= 0.9x the jobs/sec the
  *     saturated none@2x run does (shedding must not cost throughput),
- *  3. collapse: none@2x queue delay grows monotonically — the
- *     second-half-by-arrival mean queue delay >= 1.5x the first half,
+ *  3. collapse: none@2x queue delay grows without bound — in the sim
+ *     its queue p99 grows >= 1.3x when the arrival horizon doubles
+ *     while queue_delay@2x grows <= 1.25x; threaded, none@2x queue p99
+ *     stays >= 2x queue_delay@2x's,
  *  4. sim rows are byte-identical across repeated runs of one seed,
  *  5. deadline rows under overload actually expire jobs (tallies move).
  */
@@ -35,25 +37,13 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
-#include "sim/serving.h"
+#include "serving_harness.h"
 
 using namespace numaws;
 using namespace numaws::bench;
 using namespace numaws::workloads;
 
 namespace {
-
-double
-mean(const std::vector<double> &v)
-{
-    if (v.empty())
-        return 0.0;
-    double s = 0.0;
-    for (const double x : v)
-        s += x;
-    return s / static_cast<double>(v.size());
-}
 
 /**
  * Shed configuration named in the rows. Delay targets scale with the
@@ -83,22 +73,21 @@ servingFor(const std::string &shed, double lat_us, double norm_us,
     return p;
 }
 
+/** Does job @p i carry a deadline when @p frac of jobs get one? */
+bool
+deadlined(std::size_t i, double frac)
+{
+    return frac > 0.0 && static_cast<double>(i % 100) < frac * 100.0;
+}
+
 // ---------------------------------------------------------------------
 // Sim side
 // ---------------------------------------------------------------------
 
-struct SimMix
-{
-    sim::ComputationDag dag;
-    std::vector<sim::FrameId> roots;
-    std::vector<int> classes;
-    double meanJobCycles = 0.0;
-};
-
+/** Round-robin Latency, Normal, Batch jobs. */
 SimMix
-buildSimMix(int jobs, int sockets)
+overloadMix(int jobs, int sockets)
 {
-    SimMix mix;
     std::vector<sim::ComputationDag> kinds;
     // Latency-class requests are a single serial block (block == n) so
     // their execution time is load-independent: what the protection
@@ -125,16 +114,10 @@ buildSimMix(int jobs, int sockets)
     mm.block = 16;
     kinds.push_back(
         matmulDag(mm, sockets, Placement::FirstTouch, false)); // Batch
-    double total_work = 0.0;
-    for (int i = 0; i < jobs; ++i) {
-        const std::size_t k =
-            static_cast<std::size_t>(i) % kinds.size();
-        mix.roots.push_back(mix.dag.append(kinds[k]));
-        mix.classes.push_back(static_cast<int>(k));
-        total_work += kinds[k].workSpan().work;
-    }
-    mix.meanJobCycles = total_work / jobs;
-    return mix;
+    return buildSimMix(jobs, [&kinds](int i) {
+        const int k = i % 3;
+        return MixSlot{&kinds[static_cast<std::size_t>(k)], k};
+    });
 }
 
 /** Sim overload scenario: rate multiple of capacity, shed config, and
@@ -147,86 +130,23 @@ struct SimScenario
     double deadline_frac = 0.0; ///< fraction of jobs given deadlines
 };
 
-struct SimRun
-{
-    sim::ServingResult r;
-    std::vector<int> classes; ///< input class of r.jobs[i]
-    double ratePerSec = 0.0;
-    double ghz = 1.0;
-
-    /** Latency-class p99 over Done jobs, microseconds. */
-    double
-    latencyClassP99Us() const
-    {
-        std::vector<double> lat;
-        for (std::size_t i = 0; i < r.jobs.size(); ++i)
-            if (classes[i] == 0
-                && r.jobs[i].outcome == JobOutcome::Done)
-                lat.push_back(r.jobs[i].latencyCycles() / ghz / 1000.0);
-        return exactQuantile(std::move(lat), 0.99);
-    }
-
-    /** Latency-class claim-delay p99 over Done jobs, microseconds. */
-    double
-    latencyClassQueueP99Us() const
-    {
-        std::vector<double> q;
-        for (std::size_t i = 0; i < r.jobs.size(); ++i)
-            if (classes[i] == 0
-                && r.jobs[i].outcome == JobOutcome::Done)
-                q.push_back(r.jobs[i].queueCycles() / ghz / 1000.0);
-        return exactQuantile(std::move(q), 0.99);
-    }
-
-    /** Mean queue delay (us) of one class's Done jobs in an
-     * arrival-order slice (debug aid). Within-run cohort ratios are a
-     * poor collapse witness: late arrivals benefit from the
-     * post-window drain at full capacity, so delays peak mid-window.
-     * The gates use horizon doubling instead. */
-    double
-    meanClassQueueUs(int cls, std::size_t lo, std::size_t hi) const
-    {
-        std::vector<double> q;
-        for (std::size_t i = lo; i < hi && i < r.jobs.size(); ++i)
-            if (classes[i] == cls
-                && r.jobs[i].outcome == JobOutcome::Done
-                && r.jobs[i].startCycles > 0.0)
-                q.push_back(r.jobs[i].queueCycles() / ghz / 1000.0);
-        return mean(q);
-    }
-};
-
-SimRun
+SimServingRun
 runSimScenario(const SimMix &mix, const SimScenario &sc,
                const Machine &machine, int cores, uint64_t seed)
 {
-    SimRun run;
+    SimServingRun run;
     run.ghz = machine.ghz();
     run.classes = mix.classes;
-    sim::ArrivalProcess p;
-    p.ratePerSec =
-        sc.util * cores * machine.ghz() * 1e9 / mix.meanJobCycles;
-    p.seed = seed;
-    run.ratePerSec = p.ratePerSec;
-    const auto at = sim::arrivalCycles(
-        p, static_cast<int>(mix.roots.size()), machine.ghz());
-    std::vector<sim::SimJob> jobs(mix.roots.size());
+    std::vector<sim::SimJob> jobs = makeSimJobs(
+        mix, sc.util, cores, machine.ghz(), seed, &run.ratePerSec);
     // Deadline ~2x the mean job's work: generous uncontended, hopeless
     // once the unprotected queue has grown for a while.
     const double deadline_cycles = 2.0 * mix.meanJobCycles;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        jobs[i].root = mix.roots[i];
-        jobs[i].arrivalCycles = at[i];
-        jobs[i].cls = mix.classes[i];
-        if (sc.deadline_frac > 0.0
-            && static_cast<double>(i % 100)
-                   < sc.deadline_frac * 100.0)
-            jobs[i].deadlineCycles = at[i] + deadline_cycles;
-    }
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
-    cfg.modelParking = true;
-    cfg.sched.parkSpinFailures = 4;
-    cfg.seed = seed;
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        if (deadlined(i, sc.deadline_frac))
+            jobs[i].deadlineCycles =
+                jobs[i].arrivalCycles + deadline_cycles;
+    sim::SimConfig cfg = servingSimConfig(true, seed);
     // Latency target ~4 per-core service times: loose enough that the
     // regulated queue keeps standing (a near-empty queue lets the
     // server idle on arrival variance and costs goodput), tight enough
@@ -283,13 +203,13 @@ overloadRow(const char *engine, const SimScenario &sc, double rate,
 
 JsonRow
 simRow(const SimScenario &sc, int cores, uint64_t seed,
-       const SimRun &run)
+       const SimServingRun &run)
 {
     const sim::ServingResult &r = run.r;
     const double total = static_cast<double>(r.jobs.size());
     return overloadRow("sim", sc, run.ratePerSec, cores, seed,
                        r.jobs.size(), r.sim.elapsedSeconds, r.p50Us,
-                       r.p99Us, run.latencyClassP99Us(), r.queueP50Us,
+                       r.p99Us, run.classP99Us(0), r.queueP50Us,
                        r.queueP99Us, r.goodputPerSec,
                        static_cast<double>(r.shed) / total, r.done,
                        r.expired, r.cancelled, r.rejected, r.shed);
@@ -302,7 +222,7 @@ simRow(const SimScenario &sc, int cores, uint64_t seed,
 
 std::atomic<double> g_sink{0.0};
 
-/** Class mix mirrors buildSimMix: jobs are sized in the hundreds of
+/** Class mix mirrors overloadMix: jobs are sized in the hundreds of
  * microseconds so overload queue delays (tens of ms) clear the host's
  * park/wake noise floor (~1-2ms on a shared CI core) by an order of
  * magnitude, and the three classes carry comparable work so job-count
@@ -334,7 +254,7 @@ submitJob(Runtime &rt, int i, int64_t deadline_ns)
     }
 }
 
-struct OpenLoopRun
+struct OverloadRun
 {
     double elapsed_s = 0.0;
     double arrival_per_s = 0.0;
@@ -344,94 +264,48 @@ struct OpenLoopRun
     double lat_p99_us = 0.0;    ///< Latency-class Done-job p99
     double queue_p50_us = 0.0;  ///< Done-job queue-delay percentiles
     double queue_p99_us = 0.0;
-    double queue_growth = 0.0;  ///< Normal 2nd/1st-half mean queue delay
     uint64_t done = 0, expired = 0, cancelled = 0, rejected = 0,
              shed = 0;
     double shed_frac = 0.0;
 };
 
 /** Drive @p rt open-loop at seeded @p arrival_ns offsets. */
-OpenLoopRun
-runOpenLoop(Runtime &rt, const std::vector<double> &arrival_ns,
-            double deadline_frac, int64_t deadline_ns)
+OverloadRun
+runOverloadStream(Runtime &rt, const std::vector<double> &arrival_ns,
+                  double deadline_frac, int64_t deadline_ns)
 {
-    for (int i = 0; i < 12; ++i)
-        submitJob(rt, i, 0).wait();
-    rt.resetStats();
-
-    std::vector<JobHandle> handles;
-    handles.reserve(arrival_ns.size());
-    const int64_t t0 = nowNs();
-    for (std::size_t i = 0; i < arrival_ns.size(); ++i) {
-        const int64_t target = t0 + static_cast<int64_t>(arrival_ns[i]);
-        while (nowNs() < target) {
-            if (target - nowNs() > 200000)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(100));
-        }
-        const bool deadlined =
-            deadline_frac > 0.0
-            && static_cast<double>(i % 100) < deadline_frac * 100.0;
-        handles.push_back(submitJob(rt, static_cast<int>(i),
-                                    deadlined ? deadline_ns : 0));
-    }
-    for (JobHandle &h : handles)
-        h.wait();
-
-    OpenLoopRun r;
-    r.elapsed_s = static_cast<double>(nowNs() - t0) * 1e-9;
-    r.arrival_per_s =
-        static_cast<double>(handles.size()) / r.elapsed_s;
-    std::vector<double> lat_us, lat_cls_us, queue_us;
-    std::vector<double> queue_first, queue_second;
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-        JobHandle &h = handles[i];
-        switch (h.outcome()) {
-          case JobOutcome::Done: {
-            ++r.done;
-            const double lat =
-                static_cast<double>(h.latencyNs()) / 1000.0;
-            const double queue =
-                static_cast<double>(h.queueNs()) / 1000.0;
-            lat_us.push_back(lat);
-            queue_us.push_back(queue);
-            if (i % 3 == 0)
-                lat_cls_us.push_back(lat);
-            // Normal-class only: the clean collapse witness (see
-            // SimRun::meanNormalQueueUs).
-            if (i % 3 == 1)
-                (i < handles.size() / 2 ? queue_first : queue_second)
-                    .push_back(queue);
-            break;
-          }
-          case JobOutcome::Expired:
-            ++r.expired;
-            break;
-          case JobOutcome::Cancelled:
-            ++r.cancelled;
-            break;
-          case JobOutcome::Rejected:
-            ++r.rejected;
-            break;
-          default:
-            NUMAWS_PANIC("job resolved with unexpected outcome %s",
-                         jobOutcomeName(h.outcome()));
-        }
-    }
+    const OpenLoop ol = runOpenLoop(
+        rt, Warmup{}, arrival_ns, [&](int i, bool warm) {
+            const bool ddl =
+                !warm
+                && deadlined(static_cast<std::size_t>(i), deadline_frac);
+            return submitJob(rt, i, ddl ? deadline_ns : 0);
+        });
+    OverloadRun r;
+    r.elapsed_s = ol.elapsed_s;
+    r.arrival_per_s = ol.arrivalPerSec();
+    r.done = ol.count(JobOutcome::Done);
+    r.expired = ol.count(JobOutcome::Expired);
+    r.cancelled = ol.count(JobOutcome::Cancelled);
+    r.rejected = ol.count(JobOutcome::Rejected);
+    if (r.done + r.expired + r.cancelled + r.rejected
+        != ol.handles.size())
+        NUMAWS_PANIC("job resolved with an unexpected outcome");
+    const std::vector<double> lat_us = ol.latenciesUs();
+    const std::vector<double> queue_us = ol.queueDelaysUs();
     r.goodput = static_cast<double>(r.done) / r.elapsed_s;
     r.p50_us = exactQuantile(lat_us, 0.50);
     r.p99_us = exactQuantile(lat_us, 0.99);
-    r.lat_p99_us = exactQuantile(lat_cls_us, 0.99);
+    r.lat_p99_us = exactQuantile(
+        ol.latenciesUs([](std::size_t i) { return i % 3 == 0; }), 0.99);
     r.queue_p50_us = exactQuantile(queue_us, 0.50);
     r.queue_p99_us = exactQuantile(queue_us, 0.99);
-    r.queue_growth =
-        mean(queue_second) / std::max(1e-9, mean(queue_first));
     const RuntimeStats s = rt.stats();
     for (int c = 0; c < kNumJobClasses; ++c)
         r.shed += s.jobOutcomes[c].shed;
     r.shed_frac =
         static_cast<double>(r.shed)
-        / static_cast<double>(handles.size());
+        / static_cast<double>(ol.handles.size());
     return r;
 }
 
@@ -441,13 +315,7 @@ int
 main(int argc, char **argv)
 {
     const Cli cli(argc, argv);
-    const BenchArgs args(cli);
-    const std::string json_path =
-        cli.getString("json", "BENCH_overload.json");
-    const uint64_t first_seed =
-        static_cast<uint64_t>(cli.getInt("seed", 0x5eed));
-    const int num_seeds =
-        std::max(1, static_cast<int>(cli.getInt("seeds", 3)));
+    const ServingArgs args(cli, "BENCH_overload.json", 5);
     // Never oversubscribe: with more workers than physical cores the
     // OS deschedules a worker mid-frame and Latency-class claims stall
     // behind it, which the latency gate would misread as an admission
@@ -456,9 +324,6 @@ main(int argc, char **argv)
         2u, std::max(1u, std::thread::hardware_concurrency()));
     const int threads =
         static_cast<int>(cli.getInt("threads", default_threads));
-    const int reps =
-        std::max(1, static_cast<int>(cli.getInt("reps", 5)));
-    const bool skip_threaded = cli.getBool("skip-threaded", false);
     const int sockets = socketsFor(args.cores);
     const int sim_jobs = args.scale >= 1.0 ? 480 : 240;
 
@@ -475,7 +340,7 @@ main(int argc, char **argv)
 
     // ---- Simulated overload rows + deterministic gates ----
     const Machine machine = Machine::paperMachineSubset(args.cores);
-    const SimMix mix = buildSimMix(sim_jobs, sockets);
+    const SimMix mix = overloadMix(sim_jobs, sockets);
     std::printf("Simulated overload, %d cores, %d jobs:\n", args.cores,
                 sim_jobs);
     Table t({"rate", "shed", "ddl", "latp99us", "qp99us", "goodput/s",
@@ -488,35 +353,18 @@ main(int argc, char **argv)
     for (const SimScenario &sc : scenarios) {
         double lat_p99 = 0.0, qp99 = 0.0, goodput = 0.0;
         double done = 0.0, shed = 0.0, expired = 0.0;
-        for (int s = 0; s < num_seeds; ++s) {
-            const uint64_t seed = first_seed + 7919ULL * s;
-            const SimRun run =
+        for (int s = 0; s < args.seeds; ++s) {
+            const uint64_t seed = simSeed(args.firstSeed, s);
+            const SimServingRun run =
                 runSimScenario(mix, sc, machine, args.cores, seed);
             report.addRow(simRow(sc, args.cores, seed, run));
-            if (std::getenv("OVERLOAD_DEBUG")) {
-                const std::size_t n = run.r.jobs.size();
-                std::printf(
-                    "  dbg %s/%s seed=%llu latq_p99=%.1fus "
-                    "lat_p99=%.1fus halves"
-                    " L=%.1f/%.1f N=%.1f/%.1f B=%.1f/%.1f us\n",
-                    sc.rate_name, sc.shed.c_str(),
-                    static_cast<unsigned long long>(seed),
-                    run.latencyClassQueueP99Us(),
-                    run.latencyClassP99Us(),
-                    run.meanClassQueueUs(0, 0, n / 2),
-                    run.meanClassQueueUs(0, n / 2, n),
-                    run.meanClassQueueUs(1, 0, n / 2),
-                    run.meanClassQueueUs(1, n / 2, n),
-                    run.meanClassQueueUs(2, 0, n / 2),
-                    run.meanClassQueueUs(2, n / 2, n));
-            }
-            lat_p99 += run.latencyClassP99Us() / num_seeds;
-            qp99 += run.r.queueP99Us / num_seeds;
-            goodput += run.r.goodputPerSec / num_seeds;
-            done += static_cast<double>(run.r.done) / num_seeds;
-            shed += static_cast<double>(run.r.shed) / num_seeds;
+            lat_p99 += run.classP99Us(0) / args.seeds;
+            qp99 += run.r.queueP99Us / args.seeds;
+            goodput += run.r.goodputPerSec / args.seeds;
+            done += static_cast<double>(run.r.done) / args.seeds;
+            shed += static_cast<double>(run.r.shed) / args.seeds;
             expired +=
-                static_cast<double>(run.r.expired) / num_seeds;
+                static_cast<double>(run.r.expired) / args.seeds;
             ddl_expired += sc.deadline_frac > 0.0 ? run.r.expired : 0;
         }
         t.addRow({sc.rate_name, sc.shed,
@@ -544,16 +392,11 @@ main(int argc, char **argv)
     // all replay exactly).
     {
         const SimScenario sc = {"2x", 2.0, "queue_delay", 0.5};
-        const SimRun a =
-            runSimScenario(mix, sc, machine, args.cores, first_seed);
-        const SimRun b =
-            runSimScenario(mix, sc, machine, args.cores, first_seed);
-        const bool same = simRow(sc, args.cores, first_seed, a).str()
-                          == simRow(sc, args.cores, first_seed, b).str();
-        std::printf("  gate %-52s %s\n",
-                    "sim overload rows byte-identical",
-                    same ? "ok" : "FAIL");
-        ok &= same;
+        ok &= gateReplaysIdentically("sim overload rows byte-identical", [&] {
+            return simRow(
+                sc, args.cores, args.firstSeed,
+                runSimScenario(mix, sc, machine, args.cores, args.firstSeed));
+        });
     }
 
     // Unbounded vs bounded growth, by horizon doubling: run none@2x
@@ -562,11 +405,11 @@ main(int argc, char **argv)
     // with QueueDelay shedding the one-in-one-out regulator pins it.
     double grow_none = 0.0, grow_qd = 0.0;
     {
-        const SimMix mix2 = buildSimMix(sim_jobs * 2, sockets);
+        const SimMix mix2 = overloadMix(sim_jobs * 2, sockets);
         const SimScenario none2x = {"2x", 2.0, "none", 0.0};
         const SimScenario qd2x = {"2x", 2.0, "queue_delay", 0.0};
-        for (int s = 0; s < num_seeds; ++s) {
-            const uint64_t seed = first_seed + 7919ULL * s;
+        for (int s = 0; s < args.seeds; ++s) {
+            const uint64_t seed = simSeed(args.firstSeed, s);
             const double none_short =
                 runSimScenario(mix, none2x, machine, args.cores, seed)
                     .r.queueP99Us;
@@ -580,8 +423,8 @@ main(int argc, char **argv)
                 runSimScenario(mix2, qd2x, machine, args.cores, seed)
                     .r.queueP99Us;
             grow_none +=
-                none_long / std::max(1e-9, none_short) / num_seeds;
-            grow_qd += qd_long / std::max(1e-9, qd_short) / num_seeds;
+                none_long / std::max(1e-9, none_short) / args.seeds;
+            grow_qd += qd_long / std::max(1e-9, qd_short) / args.seeds;
         }
     }
 
@@ -598,7 +441,7 @@ main(int argc, char **argv)
                   static_cast<double>(ddl_expired), 1.0);
 
     // ---- Threaded overload rows + gates ----
-    if (!skip_threaded) {
+    if (!args.skipThreaded) {
         const int n_half = args.scale >= 1.0 ? 200 : 100;
         const int n_over = args.scale >= 1.0 ? 600 : 300;
 
@@ -609,32 +452,11 @@ main(int argc, char **argv)
         // Deriving capacity as threads/mean_job would overstate it on
         // CI hosts with fewer cores than workers, turning "2x" into a
         // much deeper overload than the gates are calibrated for.
-        double mean_job_s = 0.0, capacity_per_s = 0.0;
-        {
-            RuntimeOptions o;
-            o.numWorkers = threads;
-            o.numPlaces = threads >= 2 ? 2 : 1;
-            o.sched.parkSpinFailures = 1 << 30;
-            Runtime rt(o);
-            const int probe = 30;
-            const int64_t t0 = nowNs();
-            for (int i = 0; i < probe; ++i)
-                submitJob(rt, i, 0).wait();
-            mean_job_s =
-                static_cast<double>(nowNs() - t0) * 1e-9 / probe;
-
-            const int burst = 60;
-            std::vector<JobHandle> hs;
-            hs.reserve(burst);
-            const int64_t b0 = nowNs();
-            for (int i = 0; i < burst; ++i)
-                hs.push_back(submitJob(rt, i, 0));
-            for (JobHandle &h : hs)
-                h.wait();
-            capacity_per_s =
-                burst / (static_cast<double>(nowNs() - b0) * 1e-9);
-        }
-        const double mean_job_us = mean_job_s * 1e6;
+        const Calibration cal =
+            calibrate(servingRuntimeOptions(threads, true), 0, 30, 60,
+                      [](Runtime &rt, int i) { return submitJob(rt, i, 0); });
+        const double mean_job_us = cal.meanJobS * 1e6;
+        const double capacity_per_s = cal.capacityPerS;
         std::printf("\nThreaded overload, %d workers (mean job "
                     "%.0fus, capacity %.0f jobs/s):\n",
                     threads, mean_job_us, capacity_per_s);
@@ -643,7 +465,7 @@ main(int argc, char **argv)
         {
             std::vector<double> lat_p99, goodput, qp99, shed_frac;
             double done_sum = 0.0, elapsed_sum = 0.0;
-            OpenLoopRun last;
+            OverloadRun last;
 
             /** Pooled over reps: tighter than a median of per-run
              * ratios on a noisy host. */
@@ -660,9 +482,12 @@ main(int argc, char **argv)
             const SimScenario &sc = scenarios[si];
             const double rate = sc.util * capacity_per_s;
             const int n_jobs = sc.util < 1.0 ? n_half : n_over;
-            RuntimeOptions o;
-            o.numWorkers = threads;
-            o.numPlaces = threads >= 2 ? 2 : 1;
+            // Spin instead of parking, like the calibration runtime:
+            // under QueueDelay the regulated queue occasionally runs
+            // dry and a parked worker charges its ~ms wake latency to
+            // the next latency-class job — a cost the never-empty
+            // `none` rows never pay, which skews the comparison.
+            RuntimeOptions o = servingRuntimeOptions(threads, true);
             // Threaded targets sit above the host's park/wake noise
             // floor (hundreds of us on a shared CI core): below it
             // the EWMA reads permanently overloaded and the shedder
@@ -679,24 +504,15 @@ main(int argc, char **argv)
             const double lat_t = std::max(2000.0, 8.0 * mean_job_us);
             o.sched.serving = servingFor(sc.shed, lat_t, 2.0 * lat_t,
                                          4.0 * lat_t, 4 * threads);
-            // Spin instead of parking, like the calibration runtime:
-            // under QueueDelay the regulated queue occasionally runs
-            // dry and a parked worker charges its ~ms wake latency to
-            // the next latency-class job — a cost the never-empty
-            // `none` rows never pay, which skews the comparison.
-            o.sched.parkSpinFailures = 1 << 30;
             Runtime rt(o);
             Agg &agg = aggs[si];
             double expired = 0.0, qp99 = 0.0;
-            for (int rep = 0; rep < reps; ++rep) {
-                sim::ArrivalProcess p;
-                p.ratePerSec = rate;
-                p.seed = first_seed + 104729ULL * rep;
-                // ghz=1.0 makes arrivalCycles return nanoseconds.
-                const auto arrivals =
-                    sim::arrivalCycles(p, n_jobs, 1.0);
-                const OpenLoopRun r = runOpenLoop(
-                    rt, arrivals, sc.deadline_frac,
+            for (int rep = 0; rep < args.reps; ++rep) {
+                const OverloadRun r = runOverloadStream(
+                    rt,
+                    poissonArrivalsNs(rate, n_jobs,
+                                      repSeed(args.firstSeed, rep)),
+                    sc.deadline_frac,
                     static_cast<int64_t>(8.0 * mean_job_us * 1000.0));
                 agg.lat_p99.push_back(r.lat_p99_us);
                 agg.goodput.push_back(r.goodput);
@@ -705,12 +521,11 @@ main(int argc, char **argv)
                 agg.done_sum += static_cast<double>(r.done);
                 agg.elapsed_sum += r.elapsed_s;
                 agg.last = r;
-                expired += static_cast<double>(r.expired) / reps;
-                qp99 += r.queue_p99_us / reps;
+                expired += static_cast<double>(r.expired) / args.reps;
+                qp99 += r.queue_p99_us / args.reps;
                 report.addRow(
                     overloadRow("threaded", sc, r.arrival_per_s,
-                                threads,
-                                first_seed + 104729ULL * rep,
+                                threads, repSeed(args.firstSeed, rep),
                                 static_cast<std::size_t>(n_jobs),
                                 r.elapsed_s, r.p50_us, r.p99_us,
                                 r.lat_p99_us, r.queue_p50_us,
@@ -768,13 +583,5 @@ main(int argc, char **argv)
                       t_ddl_expired, 1.0);
     }
 
-    report.writeFile(json_path);
-    std::printf("\nwrote %zu rows to %s\n", report.numRows(),
-                json_path.c_str());
-
-    if (!ok) {
-        std::printf("FAIL: overload acceptance gate violated\n");
-        return 1;
-    }
-    return 0;
+    return finishReport(report, args, ok, "overload");
 }

@@ -41,8 +41,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
-#include "sim/serving.h"
+#include "serving_harness.h"
 
 using namespace numaws;
 using namespace numaws::bench;
@@ -56,19 +55,11 @@ namespace {
 
 enum class MixKind { LatencyOnly, Saturated, Flood };
 
-struct PreemptMix
+/** Latency-only, saturated (1-in-8 Latency amid long Batch jobs) or
+ * flood (a Normal stream with a deadlined Batch job every 16th slot). */
+SimMix
+preemptMix(MixKind kind, int jobs, int sockets)
 {
-    sim::ComputationDag dag;
-    std::vector<sim::FrameId> roots;
-    std::vector<int> classes;
-    std::vector<uint8_t> deadlined; ///< Batch jobs that carry a deadline
-    double meanJobCycles = 0.0;
-};
-
-PreemptMix
-buildPreemptMix(MixKind kind, int jobs, int sockets)
-{
-    PreemptMix mix;
     // Latency: one serial block (block == n), so execution time is
     // load-independent — what the preemption gate measures is queue
     // wait, not intra-job parallelism starved by a saturated machine.
@@ -104,44 +95,24 @@ buildPreemptMix(MixKind kind, int jobs, int sockets)
     const auto starved =
         matmulDag(starved_mm, sockets, Placement::FirstTouch, false);
 
-    double total = 0.0;
-    for (int i = 0; i < jobs; ++i) {
-        const sim::ComputationDag *d = nullptr;
-        int cls = 0;
-        bool ddl = false;
+    return buildSimMix(jobs, [&](int i) {
         switch (kind) {
           case MixKind::LatencyOnly:
-            d = &lat;
             break;
           case MixKind::Saturated:
-            if (i % 8 == 0) {
-                d = &lat;
-            } else {
-                d = &batch;
-                cls = 2;
-            }
+            if (i % 8 != 0)
+                return MixSlot{&batch, 2};
             break;
           case MixKind::Flood:
             // i%16==8 (not 0): the first deadlined Batch job lands
             // after the Normal backlog is already standing, so the
             // aging-off run shows starvation from the first sample.
-            if (i % 16 == 8) {
-                d = &starved;
-                cls = 2;
-                ddl = true;
-            } else {
-                d = &normal;
-                cls = 1;
-            }
-            break;
+            if (i % 16 == 8)
+                return MixSlot{&starved, 2, true};
+            return MixSlot{&normal, 1};
         }
-        mix.roots.push_back(mix.dag.append(*d));
-        mix.classes.push_back(cls);
-        mix.deadlined.push_back(ddl ? 1 : 0);
-        total += d->workSpan().work;
-    }
-    mix.meanJobCycles = total / jobs;
-    return mix;
+        return MixSlot{&lat, 0};
+    });
 }
 
 struct PreemptScenario
@@ -168,66 +139,28 @@ struct PreemptScenario
     double deadlineSvc = 0.0;
 };
 
-struct PreemptRun
+struct PreemptRun : SimServingRun
 {
-    sim::ServingResult r;
-    std::vector<int> classes;
-    double ratePerSec = 0.0;
-    double ghz = 1.0;
     int agingUs = 0;
-
-    /** Latency-class p99 over Done jobs, microseconds. */
-    double
-    latencyClassP99Us() const
-    {
-        std::vector<double> lat;
-        for (std::size_t i = 0; i < r.jobs.size(); ++i)
-            if (classes[i] == 0
-                && r.jobs[i].outcome == JobOutcome::Done)
-                lat.push_back(r.jobs[i].latencyCycles() / ghz / 1000.0);
-        return exactQuantile(std::move(lat), 0.99);
-    }
-
-    uint64_t
-    classOutcome(int cls, JobOutcome o) const
-    {
-        uint64_t n = 0;
-        for (std::size_t i = 0; i < r.jobs.size(); ++i)
-            if (classes[i] == cls && r.jobs[i].outcome == o)
-                ++n;
-        return n;
-    }
 };
 
 PreemptRun
-runPreemptScenario(const PreemptMix &mix, const PreemptScenario &sc,
+runPreemptScenario(const SimMix &mix, const PreemptScenario &sc,
                    const Machine &machine, int cores, uint64_t seed)
 {
     PreemptRun run;
     run.ghz = machine.ghz();
     run.classes = mix.classes;
-    sim::ArrivalProcess p;
-    p.ratePerSec =
-        sc.util * cores * machine.ghz() * 1e9 / mix.meanJobCycles;
-    p.seed = seed;
-    run.ratePerSec = p.ratePerSec;
-    const auto at = sim::arrivalCycles(
-        p, static_cast<int>(mix.roots.size()), machine.ghz());
+    std::vector<sim::SimJob> jobs = makeSimJobs(
+        mix, sc.util, cores, machine.ghz(), seed, &run.ratePerSec);
     // One per-core service time: the mean inter-completion gap at
     // capacity, the natural unit for deadlines and aging steps.
     const double svc_cycles = mix.meanJobCycles / cores;
-    std::vector<sim::SimJob> jobs(mix.roots.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        jobs[i].root = mix.roots[i];
-        jobs[i].arrivalCycles = at[i];
-        jobs[i].cls = mix.classes[i];
+    for (std::size_t i = 0; i < jobs.size(); ++i)
         if (sc.deadlineSvc > 0.0 && mix.deadlined[i])
-            jobs[i].deadlineCycles = at[i] + sc.deadlineSvc * svc_cycles;
-    }
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
-    cfg.modelParking = sc.parking;
-    cfg.sched.parkSpinFailures = 4;
-    cfg.seed = seed;
+            jobs[i].deadlineCycles =
+                jobs[i].arrivalCycles + sc.deadlineSvc * svc_cycles;
+    sim::SimConfig cfg = servingSimConfig(sc.parking, seed);
     const double svc_us = svc_cycles / machine.ghz() / 1000.0;
     ServingPolicy pol;
     if (sc.shed == "queue_delay") {
@@ -307,7 +240,7 @@ simRow(const PreemptScenario &sc, int cores, uint64_t seed,
     return preemptRow(
         "sim", sc.name, sc.preempt, run.agingUs, sc.unparkPct, sc.shed,
         cores, seed, r.jobs.size(), run.ratePerSec,
-        r.sim.elapsedSeconds, r.p99Us, run.latencyClassP99Us(),
+        r.sim.elapsedSeconds, r.p99Us, run.classP99Us(0),
         r.queueP99Us, r.goodputPerSec, r.done, r.expired,
         run.classOutcome(2, JobOutcome::Done),
         run.classOutcome(2, JobOutcome::Expired), r.sim.counters.yields,
@@ -362,74 +295,40 @@ struct ThreadedRun
     double p99_us = 0.0;
     double lat_p99_us = 0.0;   ///< Latency-class Done-job p99
     double queue_p99_us = 0.0;
-    uint64_t done = 0, expired = 0, other = 0;
+    uint64_t done = 0, expired = 0;
     uint64_t batch_done = 0, batch_expired = 0;
     uint64_t yields = 0, aged = 0;
 };
 
 /** Drive @p rt open-loop at seeded @p arrival_ns offsets. */
 ThreadedRun
-runThreadedStream(Runtime &rt, MixKind kind,
-                  const std::vector<double> &arrival_ns,
-                  int64_t deadline_ns)
+runPreemptStream(Runtime &rt, MixKind kind,
+                 const std::vector<double> &arrival_ns,
+                 int64_t deadline_ns)
 {
-    for (int i = 1; i <= 8; ++i)
-        submitPreemptJob(rt, kind, i, 0).wait();
-    rt.resetStats();
-
-    std::vector<JobHandle> handles;
-    handles.reserve(arrival_ns.size());
-    const int64_t t0 = nowNs();
-    for (std::size_t i = 0; i < arrival_ns.size(); ++i) {
-        const int64_t target = t0 + static_cast<int64_t>(arrival_ns[i]);
-        while (nowNs() < target) {
-            if (target - nowNs() > 200000)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(100));
-        }
-        handles.push_back(submitPreemptJob(
-            rt, kind, static_cast<int>(i), deadline_ns));
-    }
-    for (JobHandle &h : handles)
-        h.wait();
-
+    const OpenLoop ol = runOpenLoop(
+        rt, Warmup{1, 8}, arrival_ns, [&](int i, bool warm) {
+            return submitPreemptJob(rt, kind, i, warm ? 0 : deadline_ns);
+        });
+    const auto is_latency = [kind](std::size_t i) {
+        return kind == MixKind::Saturated && i % 8 == 0;
+    };
     ThreadedRun r;
-    r.elapsed_s = static_cast<double>(nowNs() - t0) * 1e-9;
-    r.arrival_per_s =
-        static_cast<double>(handles.size()) / r.elapsed_s;
-    std::vector<double> lat_us, lat_cls_us, queue_us;
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-        JobHandle &h = handles[i];
+    r.elapsed_s = ol.elapsed_s;
+    r.arrival_per_s = ol.arrivalPerSec();
+    r.done = ol.count(JobOutcome::Done);
+    r.expired = ol.count(JobOutcome::Expired);
+    for (std::size_t i = 0; i < ol.handles.size(); ++i) {
         const bool is_batch =
             kind == MixKind::Saturated ? (i % 8 != 0) : (i % 16 == 8);
-        switch (h.outcome()) {
-          case JobOutcome::Done: {
-            ++r.done;
-            const double lat =
-                static_cast<double>(h.latencyNs()) / 1000.0;
-            lat_us.push_back(lat);
-            queue_us.push_back(
-                static_cast<double>(h.queueNs()) / 1000.0);
-            if (kind == MixKind::Saturated && i % 8 == 0)
-                lat_cls_us.push_back(lat);
-            if (is_batch)
-                ++r.batch_done;
-            break;
-          }
-          case JobOutcome::Expired:
-            ++r.expired;
-            if (is_batch)
-                ++r.batch_expired;
-            break;
-          default:
-            ++r.other;
-            break;
-        }
+        const JobOutcome o = ol.handles[i].outcome();
+        r.batch_done += is_batch && o == JobOutcome::Done ? 1 : 0;
+        r.batch_expired += is_batch && o == JobOutcome::Expired ? 1 : 0;
     }
     r.goodput = static_cast<double>(r.done) / r.elapsed_s;
-    r.p99_us = exactQuantile(lat_us, 0.99);
-    r.lat_p99_us = exactQuantile(lat_cls_us, 0.99);
-    r.queue_p99_us = exactQuantile(queue_us, 0.99);
+    r.p99_us = exactQuantile(ol.latenciesUs(), 0.99);
+    r.lat_p99_us = exactQuantile(ol.latenciesUs(is_latency), 0.99);
+    r.queue_p99_us = exactQuantile(ol.queueDelaysUs(), 0.99);
     const RuntimeStats s = rt.stats();
     r.yields = s.counters.yields;
     r.aged = s.counters.agedClaims;
@@ -442,22 +341,13 @@ int
 main(int argc, char **argv)
 {
     const Cli cli(argc, argv);
-    const BenchArgs args(cli);
-    const std::string json_path =
-        cli.getString("json", "BENCH_preempt.json");
-    const uint64_t first_seed =
-        static_cast<uint64_t>(cli.getInt("seed", 0x5eed));
-    const int num_seeds =
-        std::max(1, static_cast<int>(cli.getInt("seeds", 3)));
+    const ServingArgs args(cli, "BENCH_preempt.json", 3);
     // Never oversubscribe (see ablation_overload): descheduled workers
     // stall Latency-class claims, which the gates would misread.
     const int default_threads = std::min(
         2u, std::max(1u, std::thread::hardware_concurrency()));
     const int threads =
         static_cast<int>(cli.getInt("threads", default_threads));
-    const int reps =
-        std::max(1, static_cast<int>(cli.getInt("reps", 3)));
-    const bool skip_threaded = cli.getBool("skip-threaded", false);
     const int sockets = socketsFor(args.cores);
     const int sim_jobs = args.scale >= 1.0 ? 480 : 240;
 
@@ -480,12 +370,12 @@ main(int argc, char **argv)
 
     // ---- Simulated rows + deterministic gates ----
     const Machine machine = Machine::paperMachineSubset(args.cores);
-    PreemptMix mixes[3] = {
-        buildPreemptMix(MixKind::LatencyOnly, sim_jobs, sockets),
-        buildPreemptMix(MixKind::Saturated, sim_jobs, sockets),
-        buildPreemptMix(MixKind::Flood, sim_jobs, sockets),
+    const SimMix mixes[3] = {
+        preemptMix(MixKind::LatencyOnly, sim_jobs, sockets),
+        preemptMix(MixKind::Saturated, sim_jobs, sockets),
+        preemptMix(MixKind::Flood, sim_jobs, sockets),
     };
-    const auto mixFor = [&](MixKind k) -> const PreemptMix & {
+    const auto mixFor = [&](MixKind k) -> const SimMix & {
         return mixes[static_cast<int>(k)];
     };
     std::printf("Simulated preemption, %d cores, %d jobs:\n",
@@ -501,51 +391,35 @@ main(int argc, char **argv)
     double ramp_unpark = 0.0, ramp_cross = 0.0;
     bool ramp_lead_ok = true;
     for (const PreemptScenario &sc : scenarios) {
-        const PreemptMix &mix = mixFor(sc.mix);
+        const SimMix &mix = mixFor(sc.mix);
         double lat_p99 = 0.0, yields = 0.0, aged = 0.0;
         double bdone = 0.0, bexpired = 0.0;
         int aging_us = 0;
-        for (int s = 0; s < num_seeds; ++s) {
-            const uint64_t seed = first_seed + 7919ULL * s;
+        for (int s = 0; s < args.seeds; ++s) {
+            const uint64_t seed = simSeed(args.firstSeed, s);
             const PreemptRun run =
                 runPreemptScenario(mix, sc, machine, args.cores, seed);
             report.addRow(simRow(sc, args.cores, seed, run));
-            if (std::getenv("PREEMPT_DEBUG")
-                && std::string(sc.name) == "flood" && s == 0) {
-                const double svc =
-                    mix.meanJobCycles / args.cores;
-                for (std::size_t i = 0; i < run.r.jobs.size(); ++i) {
-                    if (mix.classes[i] != 2)
-                        continue;
-                    const auto &j = run.r.jobs[i];
-                    std::printf("  dbg batch[%3zu] arr=%6.1f "
-                                "start=%6.1f fin=%6.1f svc  %s\n",
-                                i, j.arrivalCycles / svc,
-                                j.startCycles / svc,
-                                j.finishCycles / svc,
-                                jobOutcomeName(j.outcome));
-                }
-            }
-            lat_p99 += run.latencyClassP99Us() / num_seeds;
+            lat_p99 += run.classP99Us(0) / args.seeds;
             yields += static_cast<double>(run.r.sim.counters.yields)
-                      / num_seeds;
+                      / args.seeds;
             aged += static_cast<double>(run.r.sim.counters.agedClaims)
-                    / num_seeds;
+                    / args.seeds;
             bdone += static_cast<double>(
                          run.classOutcome(2, JobOutcome::Done))
-                     / num_seeds;
+                     / args.seeds;
             bexpired += static_cast<double>(
                             run.classOutcome(2, JobOutcome::Expired))
-                        / num_seeds;
+                        / args.seeds;
             aging_us = run.agingUs;
             if (std::string(sc.name) == "ramp") {
                 ramp_unpark +=
                     static_cast<double>(
                         run.r.sim.firstUnparkPressureCycles)
-                    / num_seeds;
+                    / args.seeds;
                 ramp_cross += static_cast<double>(
                                   run.r.sim.firstShedCrossCycles)
-                              / num_seeds;
+                              / args.seeds;
                 // Lead is a per-seed ordering claim, not an average.
                 ramp_lead_ok &= run.r.sim.firstUnparkPressureCycles > 0
                                 && run.r.sim.firstUnparkPressureCycles
@@ -589,18 +463,17 @@ main(int argc, char **argv)
             "kitchen", MixKind::Saturated, 1.5, "queue_delay",
             /*preempt=*/true, /*agingSvc=*/40, /*unparkPct=*/50,
             /*parking=*/true};
-        const PreemptMix &mix = mixFor(sc.mix);
-        const PreemptRun a =
-            runPreemptScenario(mix, sc, machine, args.cores, first_seed);
-        const PreemptRun b =
-            runPreemptScenario(mix, sc, machine, args.cores, first_seed);
-        const bool same = simRow(sc, args.cores, first_seed, a).str()
-                          == simRow(sc, args.cores, first_seed, b).str();
-        std::printf("  gate %-52s %s\n",
-                    "sim all-knobs rows byte-identical",
-                    same ? "ok" : "FAIL");
-        ok &= same;
-        report.addRow(simRow(sc, args.cores, first_seed, a));
+        JsonRow first;
+        ok &= gateReplaysIdentically(
+            "sim all-knobs rows byte-identical",
+            [&] {
+                return simRow(sc, args.cores, args.firstSeed,
+                              runPreemptScenario(mixFor(sc.mix), sc,
+                                                 machine, args.cores,
+                                                 args.firstSeed));
+            },
+            &first);
+        report.addRow(first);
     }
 
     std::printf("\nSim preemption gates:\n");
@@ -626,39 +499,19 @@ main(int argc, char **argv)
     ok &= ramp_lead_ok;
 
     // ---- Threaded rows + gates ----
-    if (!skip_threaded) {
+    if (!args.skipThreaded) {
         const int n_jobs = args.scale >= 1.0 ? 240 : 120;
 
         // Calibrate this host's capacity with the real runtime (see
         // ablation_overload: threads/mean_job overstates capacity on
         // CI hosts with fewer cores than workers).
-        double mean_job_s = 0.0, capacity_per_s = 0.0;
-        {
-            RuntimeOptions o;
-            o.numWorkers = threads;
-            o.numPlaces = threads >= 2 ? 2 : 1;
-            o.sched.parkSpinFailures = 1 << 30;
-            Runtime rt(o);
-            const int probe = 20;
-            const int64_t t0 = nowNs();
-            for (int i = 1; i <= probe; ++i)
-                submitPreemptJob(rt, MixKind::Saturated, i, 0).wait();
-            mean_job_s =
-                static_cast<double>(nowNs() - t0) * 1e-9 / probe;
-
-            const int burst = 40;
-            std::vector<JobHandle> hs;
-            hs.reserve(burst);
-            const int64_t b0 = nowNs();
-            for (int i = 0; i < burst; ++i)
-                hs.push_back(
-                    submitPreemptJob(rt, MixKind::Saturated, i, 0));
-            for (JobHandle &h : hs)
-                h.wait();
-            capacity_per_s =
-                burst / (static_cast<double>(nowNs() - b0) * 1e-9);
-        }
-        const double mean_job_us = mean_job_s * 1e6;
+        const Calibration cal = calibrate(
+            servingRuntimeOptions(threads, true), 1, 20, 40,
+            [](Runtime &rt, int i) {
+                return submitPreemptJob(rt, MixKind::Saturated, i, 0);
+            });
+        const double mean_job_us = cal.meanJobS * 1e6;
+        const double capacity_per_s = cal.capacityPerS;
         std::printf("\nThreaded preemption, %d workers (mean job "
                     "%.0fus, capacity %.0f jobs/s):\n",
                     threads, mean_job_us, capacity_per_s);
@@ -684,13 +537,10 @@ main(int argc, char **argv)
         double t_sat_done_min = 1.0, t_flood_acct_min = 1.0;
         for (const ThreadedScenario &ts : tscens) {
             const double rate = 1.5 * capacity_per_s;
-            RuntimeOptions o;
-            o.numWorkers = threads;
-            o.numPlaces = threads >= 2 ? 2 : 1;
             // Spin instead of parking: a parked worker charges its ~ms
             // wake latency to the next Latency-class job, noise the
             // preemption comparison must not carry.
-            o.sched.parkSpinFailures = 1 << 30;
+            RuntimeOptions o = servingRuntimeOptions(threads, true);
             ServingPolicy pol;
             pol.preempt = ts.preempt;
             if (ts.aging)
@@ -700,24 +550,20 @@ main(int argc, char **argv)
             Runtime rt(o);
             double lat_p99 = 0.0, yields = 0.0, aged = 0.0;
             double done = 0.0, expired = 0.0;
-            for (int rep = 0; rep < reps; ++rep) {
-                sim::ArrivalProcess p;
-                p.ratePerSec = rate;
-                p.seed = first_seed + 104729ULL * rep;
-                // ghz=1.0 makes arrivalCycles return nanoseconds.
-                const auto arrivals =
-                    sim::arrivalCycles(p, n_jobs, 1.0);
-                const ThreadedRun r = runThreadedStream(
-                    rt, ts.mix, arrivals,
+            for (int rep = 0; rep < args.reps; ++rep) {
+                const ThreadedRun r = runPreemptStream(
+                    rt, ts.mix,
+                    poissonArrivalsNs(rate, n_jobs,
+                                      repSeed(args.firstSeed, rep)),
                     ts.deadline_jobs > 0.0
                         ? static_cast<int64_t>(ts.deadline_jobs
                                                * mean_job_us * 1000.0)
                         : 0);
-                lat_p99 += r.lat_p99_us / reps;
+                lat_p99 += r.lat_p99_us / args.reps;
                 yields += static_cast<double>(r.yields);
                 aged += static_cast<double>(r.aged);
-                done += static_cast<double>(r.done) / reps;
-                expired += static_cast<double>(r.expired) / reps;
+                done += static_cast<double>(r.done) / args.reps;
+                expired += static_cast<double>(r.expired) / args.reps;
                 if (ts.mix == MixKind::Saturated) {
                     (ts.preempt ? on_lat : off_lat)
                         .push_back(r.lat_p99_us);
@@ -733,7 +579,7 @@ main(int argc, char **argv)
                 report.addRow(
                     preemptRow("threaded", ts.name, ts.preempt,
                                pol.agingWaitUs, 0, "none", threads,
-                               first_seed + 104729ULL * rep,
+                               repSeed(args.firstSeed, rep),
                                static_cast<std::size_t>(n_jobs),
                                r.arrival_per_s, r.elapsed_s, r.p99_us,
                                r.lat_p99_us, r.queue_p99_us, r.goodput,
@@ -778,13 +624,5 @@ main(int argc, char **argv)
                       t_flood_acct_min, 1.0);
     }
 
-    report.writeFile(json_path);
-    std::printf("\nwrote %zu rows to %s\n", report.numRows(),
-                json_path.c_str());
-
-    if (!ok) {
-        std::printf("FAIL: preemption acceptance gate violated\n");
-        return 1;
-    }
-    return 0;
+    return finishReport(report, args, ok, "preemption");
 }

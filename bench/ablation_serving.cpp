@@ -35,8 +35,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
-#include "sim/serving.h"
+#include "serving_harness.h"
 
 using namespace numaws;
 using namespace numaws::bench;
@@ -94,93 +93,42 @@ submitJob(Runtime &rt, const std::string &mix, int i)
     }
 }
 
-struct OpenLoopResult
+/** One threaded open-loop run of the mixed stream. */
+struct ServedRun
 {
-    double elapsed_s = 0.0;
-    double arrival_per_s = 0.0;
+    OpenLoop run;
     std::vector<double> latencies_us; ///< Done jobs only
-    uint64_t done = 0, shed = 0;      ///< shed = Rejected outcomes
-    double parked_frac = 0.0; ///< parkedNs / (wall * workers)
+    double parked_frac = 0.0;         ///< parkedNs / (wall * workers)
     RuntimeStats stats;
 };
 
-/**
- * Drive @p rt open-loop: submit one job per entry of @p arrival_ns
- * (offsets from the run start), then join them all. The driver sleeps
- * toward each arrival and spin-finishes the last ~200us so submission
- * timing is not at the mercy of timer-slack.
- */
-OpenLoopResult
-runOpenLoop(Runtime &rt, const std::string &mix,
-            const std::vector<double> &arrival_ns)
+ServedRun
+serveMixed(Runtime &rt, const std::vector<double> &arrival_ns)
 {
-    // Warm the pools/histograms, then measure from a clean slate.
-    for (int i = 0; i < 12; ++i)
-        submitJob(rt, mix, i).wait();
-    rt.resetStats();
-
-    std::vector<JobHandle> handles;
-    handles.reserve(arrival_ns.size());
-    const int64_t t0 = nowNs();
-    for (std::size_t i = 0; i < arrival_ns.size(); ++i) {
-        const int64_t target = t0 + static_cast<int64_t>(arrival_ns[i]);
-        while (nowNs() < target) {
-            if (target - nowNs() > 200000)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(100));
-        }
-        handles.push_back(submitJob(rt, mix, static_cast<int>(i)));
-    }
-    for (JobHandle &h : handles)
-        h.wait();
-
-    OpenLoopResult r;
-    r.elapsed_s = static_cast<double>(nowNs() - t0) * 1e-9;
-    r.arrival_per_s =
-        static_cast<double>(handles.size()) / r.elapsed_s;
-    r.latencies_us.reserve(handles.size());
-    for (JobHandle &h : handles) {
-        // Shed jobs resolve instantly with no latency to speak of;
-        // counting their ~0 in the percentiles would flatter any run
-        // with a shed policy.
-        if (h.outcome() == JobOutcome::Done) {
-            ++r.done;
-            r.latencies_us.push_back(
-                static_cast<double>(h.latencyNs()) / 1000.0);
-        } else if (h.outcome() == JobOutcome::Rejected) {
-            ++r.shed;
-        }
-    }
-    r.stats = rt.stats();
+    ServedRun s;
+    s.run = runOpenLoop(rt, Warmup{}, arrival_ns, [&rt](int i, bool) {
+        return submitJob(rt, "mixed", i);
+    });
+    s.latencies_us = s.run.latenciesUs();
+    s.stats = rt.stats();
     const double wall_ns =
-        r.elapsed_s * 1e9 * static_cast<double>(rt.numWorkers());
-    r.parked_frac =
-        static_cast<double>(r.stats.counters.parkedNs) / wall_ns;
-    return r;
+        s.run.elapsed_s * 1e9 * static_cast<double>(rt.numWorkers());
+    s.parked_frac =
+        static_cast<double>(s.stats.counters.parkedNs) / wall_ns;
+    return s;
 }
 
 // ---------------------------------------------------------------------
 // Sim side: merged multi-root dags + simulateServing
 // ---------------------------------------------------------------------
 
-struct SimMix
-{
-    std::string name;
-    sim::ComputationDag dag;      ///< all jobs' trees, merged
-    std::vector<sim::FrameId> roots;
-    std::vector<int> classes;
-    double meanJobCycles = 0.0;   ///< nominal work per job
-};
-
+/** "fib": Latency-class fib only. "mixed": round-robin Latency fib,
+ * place-hinted Normal heat and Batch matmul. */
 SimMix
-buildSimMix(const std::string &name, int jobs, int sockets)
+servingMix(const std::string &name, int jobs, int sockets)
 {
-    SimMix mix;
-    mix.name = name;
     std::vector<sim::ComputationDag> kinds;
-    std::vector<int> kind_cls;
     kinds.push_back(fibDag(12));
-    kind_cls.push_back(0); // Latency
     if (name == "mixed") {
         HeatParams heat;
         heat.nx = 64;
@@ -189,68 +137,29 @@ buildSimMix(const std::string &name, int jobs, int sockets)
         heat.baseRows = 16;
         kinds.push_back(
             heatDag(heat, sockets, Placement::Partitioned, true));
-        kind_cls.push_back(1); // Normal, place-hinted
         MatmulParams mm;
         mm.n = 64;
         mm.block = 32;
         kinds.push_back(
             matmulDag(mm, sockets, Placement::FirstTouch, false));
-        kind_cls.push_back(2); // Batch
     }
-    double total_work = 0.0;
-    for (int i = 0; i < jobs; ++i) {
-        const std::size_t k = i % kinds.size();
-        mix.roots.push_back(mix.dag.append(kinds[k]));
-        mix.classes.push_back(kind_cls[k]);
-        total_work += kinds[k].workSpan().work;
-    }
-    mix.meanJobCycles = total_work / jobs;
-    return mix;
-}
-
-/** Jobs at seeded arrivals targeting @p util of the simulated cores. */
-std::vector<sim::SimJob>
-makeSimJobs(const SimMix &mix, double util, int cores, double ghz,
-            sim::ArrivalProcess::Kind kind, uint64_t seed,
-            double &rate_out)
-{
-    sim::ArrivalProcess p;
-    p.kind = kind;
-    p.ratePerSec = util * cores * ghz * 1e9 / mix.meanJobCycles;
-    p.seed = seed;
-    rate_out = p.ratePerSec;
-    const std::vector<double> at = sim::arrivalCycles(
-        p, static_cast<int>(mix.roots.size()), ghz);
-    std::vector<sim::SimJob> jobs(mix.roots.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        jobs[i].root = mix.roots[i];
-        jobs[i].arrivalCycles = at[i];
-        jobs[i].cls = mix.classes[i];
-    }
-    return jobs;
-}
-
-sim::SimConfig
-simConfig(bool elastic, uint64_t seed)
-{
-    sim::SimConfig c = sim::SimConfig::adaptiveNumaWs();
-    c.modelParking = elastic;
-    c.sched.parkSpinFailures = 4;
-    c.seed = seed;
-    return c;
+    return buildSimMix(jobs, [&kinds](int i) {
+        const std::size_t k = static_cast<std::size_t>(i) % kinds.size();
+        return MixSlot{&kinds[k], static_cast<int>(k)};
+    });
 }
 
 /** One serving row, rendered before provenance stamping so the
  * determinism gate can compare raw bytes. */
 JsonRow
-simServingRow(const SimMix &mix, const char *rate_class, double rate,
+simServingRow(const std::string &mix, const char *rate_class, double rate,
               const char *arrivals, bool elastic, int cores,
               uint64_t seed, const sim::ServingResult &r)
 {
     JsonRow row;
     row.set("engine", "sim")
-        .set("workload", mix.name)
-        .set("mix", mix.name)
+        .set("workload", mix)
+        .set("mix", mix)
         .set("rate", rate_class)
         .set("arrivals", arrivals)
         .set("elastic", elastic)
@@ -282,16 +191,8 @@ int
 main(int argc, char **argv)
 {
     const Cli cli(argc, argv);
-    const BenchArgs args(cli);
-    const std::string json_path =
-        cli.getString("json", "BENCH_serving.json");
-    const uint64_t first_seed =
-        static_cast<uint64_t>(cli.getInt("seed", 0x5eed));
-    const int num_seeds =
-        std::max(1, static_cast<int>(cli.getInt("seeds", 3)));
+    const ServingArgs args(cli, "BENCH_serving.json", 3);
     const int threads = static_cast<int>(cli.getInt("threads", 2));
-    const int reps = std::max(1, static_cast<int>(cli.getInt("reps", 3)));
-    const bool skip_threaded = cli.getBool("skip-threaded", false);
     const int sockets = socketsFor(args.cores);
     const int sim_jobs = args.scale >= 1.0 ? 240 : 90;
 
@@ -315,7 +216,7 @@ main(int argc, char **argv)
     for (const std::string mix_name : {"fib", "mixed"}) {
         if (!args.only.empty() && args.only != mix_name)
             continue;
-        const SimMix mix = buildSimMix(mix_name, sim_jobs, sockets);
+        const SimMix mix = servingMix(mix_name, sim_jobs, sockets);
         std::printf("\nSimulated serving %s, %d cores, %d jobs:\n",
                     mix_name.c_str(), args.cores, sim_jobs);
         Table t({"rate", "elastic", "T", "p50us", "p99us", "parks",
@@ -326,29 +227,28 @@ main(int argc, char **argv)
                 double parked_frac = 0.0;
                 double rate = 0.0;
                 double elapsed = 0.0, p50 = 0.0, parks = 0.0;
-                for (int s = 0; s < num_seeds; ++s) {
-                    const uint64_t seed = first_seed + 7919ULL * s;
-                    const auto jobs = makeSimJobs(
-                        mix, rc.util, args.cores, machine.ghz(),
-                        sim::ArrivalProcess::Kind::Poisson, seed,
-                        rate);
+                for (int s = 0; s < args.seeds; ++s) {
+                    const uint64_t seed = simSeed(args.firstSeed, s);
+                    const auto jobs =
+                        makeSimJobs(mix, rc.util, args.cores,
+                                    machine.ghz(), seed, &rate);
                     const sim::ServingResult r = sim::simulateServing(
                         mix.dag, jobs, machine, args.cores,
-                        simConfig(elastic, seed));
-                    report.addRow(simServingRow(mix, rc.name, rate,
+                        servingSimConfig(elastic, seed));
+                    report.addRow(simServingRow(mix_name, rc.name, rate,
                                                 "poisson", elastic,
                                                 args.cores, seed, r));
-                    p99_mean += r.p99Us / num_seeds;
+                    p99_mean += r.p99Us / args.seeds;
                     const double idle_cycles =
                         r.sim.idleSeconds * machine.ghz() * 1e9;
                     parked_frac +=
                         static_cast<double>(
                             r.sim.counters.parkedCycles)
-                        / std::max(1.0, idle_cycles) / num_seeds;
-                    elapsed += r.sim.elapsedSeconds / num_seeds;
-                    p50 += r.p50Us / num_seeds;
+                        / std::max(1.0, idle_cycles) / args.seeds;
+                    elapsed += r.sim.elapsedSeconds / args.seeds;
+                    p50 += r.p50Us / args.seeds;
                     parks += static_cast<double>(r.sim.counters.parks)
-                             / num_seeds;
+                             / args.seeds;
                 }
                 t.addRow({rc.name, elastic ? "yes" : "no",
                           Table::fmtSeconds(elapsed),
@@ -373,13 +273,13 @@ main(int argc, char **argv)
         {
             double rate = 0.0;
             const auto jobs = makeSimJobs(
-                mix, kHighUtil, args.cores, machine.ghz(),
-                sim::ArrivalProcess::Kind::Burst, first_seed, rate);
+                mix, kHighUtil, args.cores, machine.ghz(), args.firstSeed,
+                &rate, sim::ArrivalProcess::Kind::Burst);
             const sim::ServingResult r = sim::simulateServing(
                 mix.dag, jobs, machine, args.cores,
-                simConfig(true, first_seed));
-            report.addRow(simServingRow(mix, "high", rate, "burst",
-                                        true, args.cores, first_seed,
+                servingSimConfig(true, args.firstSeed));
+            report.addRow(simServingRow(mix_name, "high", rate, "burst",
+                                        true, args.cores, args.firstSeed,
                                         r));
             std::printf("  burst arrivals: p99 %.0fus  parks %llu\n",
                         r.p99Us,
@@ -391,29 +291,18 @@ main(int argc, char **argv)
         // must render byte-identical rows.
         {
             double rate = 0.0;
-            const auto jobs = makeSimJobs(
-                mix, kHighUtil, args.cores, machine.ghz(),
-                sim::ArrivalProcess::Kind::Poisson, first_seed, rate);
-            const sim::ServingResult a = sim::simulateServing(
-                mix.dag, jobs, machine, args.cores,
-                simConfig(true, first_seed));
-            const sim::ServingResult b = sim::simulateServing(
-                mix.dag, jobs, machine, args.cores,
-                simConfig(true, first_seed));
-            const std::string row_a =
-                simServingRow(mix, "high", rate, "poisson", true,
-                              args.cores, first_seed, a)
-                    .str();
-            const std::string row_b =
-                simServingRow(mix, "high", rate, "poisson", true,
-                              args.cores, first_seed, b)
-                    .str();
-            const bool same = row_a == row_b;
-            std::printf("  gate %-52s %s\n",
-                        (mix_name + " serving rows byte-identical")
-                            .c_str(),
-                        same ? "ok" : "FAIL");
-            ok &= same;
+            const auto jobs =
+                makeSimJobs(mix, kHighUtil, args.cores, machine.ghz(),
+                            args.firstSeed, &rate);
+            ok &= gateReplaysIdentically(
+                (mix_name + " serving rows byte-identical").c_str(), [&] {
+                    return simServingRow(
+                        mix_name, "high", rate, "poisson", true,
+                        args.cores, args.firstSeed,
+                        sim::simulateServing(
+                            mix.dag, jobs, machine, args.cores,
+                            servingSimConfig(true, args.firstSeed)));
+                });
         }
     }
 
@@ -428,26 +317,18 @@ main(int argc, char **argv)
     }
 
     // ---- Threaded open-loop rows + gates ----
-    if (!skip_threaded && args.only.empty()) {
+    if (!args.skipThreaded && args.only.empty()) {
         const int n_low = args.scale >= 1.0 ? 200 : 80;
         const int n_high = args.scale >= 1.0 ? 600 : 300;
 
         // Calibrate the mean job time on this host with a spin
         // runtime, then derive the two rate classes from it.
-        double mean_job_s = 0.0;
-        {
-            RuntimeOptions o;
-            o.numWorkers = threads;
-            o.numPlaces = threads >= 2 ? 2 : 1;
-            o.sched.parkSpinFailures = 1 << 30;
-            Runtime rt(o);
-            const int probe = 30;
-            const int64_t t0 = nowNs();
-            for (int i = 0; i < probe; ++i)
-                submitJob(rt, "mixed", i).wait();
-            mean_job_s = static_cast<double>(nowNs() - t0) * 1e-9
-                         / probe;
-        }
+        const double mean_job_s =
+            calibrate(servingRuntimeOptions(threads, true), 0, 30, 0,
+                      [](Runtime &rt, int i) {
+                          return submitJob(rt, "mixed", i);
+                      })
+                .meanJobS;
         const double rate_low = kLowUtil * threads / mean_job_s;
         const double rate_high = kHighUtil * threads / mean_job_s;
         std::printf("\nThreaded open-loop, %d workers (mean job "
@@ -468,34 +349,24 @@ main(int argc, char **argv)
             const double rate = rci == 0 ? rate_low : rate_high;
             const int n_jobs = rci == 0 ? n_low : n_high;
             for (const bool elastic : {false, true}) {
-                RuntimeOptions o;
-                o.numWorkers = threads;
-                o.numPlaces = threads >= 2 ? 2 : 1;
-                if (!elastic)
-                    o.sched.parkSpinFailures = 1 << 30;
-                Runtime rt(o);
+                Runtime rt(servingRuntimeOptions(threads, !elastic));
                 std::vector<double> p99s, parked;
                 double p50 = 0.0, parks = 0.0, spurious = 0.0;
-                for (int rep = 0; rep < reps; ++rep) {
-                    sim::ArrivalProcess p;
-                    p.ratePerSec = rate;
-                    p.seed = first_seed + 104729ULL * rep;
-                    // ghz=1.0 makes arrivalCycles return nanoseconds.
-                    const auto arrivals =
-                        sim::arrivalCycles(p, n_jobs, 1.0);
-                    const OpenLoopResult r =
-                        runOpenLoop(rt, "mixed", arrivals);
+                for (int rep = 0; rep < args.reps; ++rep) {
+                    const ServedRun r = serveMixed(
+                        rt, poissonArrivalsNs(rate, n_jobs,
+                                              repSeed(args.firstSeed, rep)));
                     const double p99 =
                         exactQuantile(r.latencies_us, 0.99);
                     p99s.push_back(p99);
                     parked.push_back(r.parked_frac);
-                    p50 += exactQuantile(r.latencies_us, 0.50) / reps;
+                    p50 += exactQuantile(r.latencies_us, 0.50) / args.reps;
                     parks += static_cast<double>(
                                  r.stats.counters.parks)
-                             / reps;
+                             / args.reps;
                     spurious += static_cast<double>(
                                     r.stats.counters.spuriousWakes)
-                                / reps;
+                                / args.reps;
                     JsonRow row;
                     row.set("engine", "threaded")
                         .set("workload", "mixed")
@@ -507,8 +378,8 @@ main(int argc, char **argv)
                         .set("rep", rep)
                         .set("jobs",
                              static_cast<uint64_t>(n_jobs))
-                        .set("arrival_per_s", r.arrival_per_s)
-                        .set("elapsed_s", r.elapsed_s)
+                        .set("arrival_per_s", r.run.arrivalPerSec())
+                        .set("elapsed_s", r.run.elapsed_s)
                         .set("p50_us",
                              exactQuantile(r.latencies_us, 0.50))
                         .set("p99_us", p99)
@@ -560,9 +431,7 @@ main(int argc, char **argv)
                         x = x + 1;
                 });
             for (int shed = 0; shed < 2; ++shed) {
-                RuntimeOptions o;
-                o.numWorkers = threads;
-                o.numPlaces = threads >= 2 ? 2 : 1;
+                RuntimeOptions o = servingRuntimeOptions(threads, false);
                 if (shed) {
                     const int lat_t = std::max(
                         2000, static_cast<int>(8e6 * mean_job_s));
@@ -572,13 +441,11 @@ main(int argc, char **argv)
                     o.sched.serving.queueDelayTargetUs[2] = 4 * lat_t;
                 }
                 Runtime rt(o);
-                sim::ArrivalProcess p;
-                p.ratePerSec = rate_high;
-                p.seed = first_seed;
-                const auto arrivals =
-                    sim::arrivalCycles(p, n_high, 1.0);
-                const OpenLoopResult r =
-                    runOpenLoop(rt, "mixed", arrivals);
+                const ServedRun r = serveMixed(
+                    rt, poissonArrivalsNs(rate_high, n_high, args.firstSeed));
+                const uint64_t done = r.run.count(JobOutcome::Done);
+                const uint64_t shed_jobs =
+                    r.run.count(JobOutcome::Rejected);
                 const double p99 =
                     exactQuantile(r.latencies_us, 0.99);
                 (shed ? corun_shed_p99 : corun_none_p99) = p99;
@@ -592,12 +459,12 @@ main(int argc, char **argv)
                     .set("elastic", true)
                     .set("workers", threads)
                     .set("jobs", static_cast<uint64_t>(n_high))
-                    .set("elapsed_s", r.elapsed_s)
+                    .set("elapsed_s", r.run.elapsed_s)
                     .set("p50_us",
                          exactQuantile(r.latencies_us, 0.50))
                     .set("p99_us", p99)
-                    .set("done", r.done)
-                    .set("shed_jobs", r.shed)
+                    .set("done", done)
+                    .set("shed_jobs", shed_jobs)
                     .set("parked_frac", r.parked_frac)
                     .set("parks", r.stats.counters.parks);
                 report.addRow(row);
@@ -605,8 +472,8 @@ main(int argc, char **argv)
                             "%llu done / %llu shed (vs %.0fus "
                             "uncontended)\n",
                             shed ? "queue_delay" : "none", p99,
-                            static_cast<unsigned long long>(r.done),
-                            static_cast<unsigned long long>(r.shed),
+                            static_cast<unsigned long long>(done),
+                            static_cast<unsigned long long>(shed_jobs),
                             meas[1][1].p99_us);
             }
             stop.store(true, std::memory_order_relaxed);
@@ -630,16 +497,6 @@ main(int argc, char **argv)
                       2.0);
     }
 
-    report.writeFile(json_path);
-    std::printf("\nwrote %zu rows to %s\n", report.numRows(),
-                json_path.c_str());
-
-    if (!args.only.empty())
-        return 0; // partial runs skip the gates
-
-    if (!ok) {
-        std::printf("FAIL: serving acceptance gate violated\n");
-        return 1;
-    }
-    return 0;
+    // Partial (--workload) runs skip the gates.
+    return finishReport(report, args, ok || !args.only.empty(), "serving");
 }

@@ -1,16 +1,16 @@
 /**
  * @file
- * Victim-policy ablation grid: {flat, occupancy, occupancy+affinity}
- * on the two workloads that pulled PR 1's hierarchical search in
+ * Victim-policy ablation grid: {flat, occupancy+affinity} on the two
+ * workloads that pulled PR 1's hierarchical search in
  * opposite directions.
  *
  * PR 1 recorded the tension this grid measures: the blind distance
  * ladder cut matmul-layout steal probes ~16% but cost ~+30% simulated
  * time on heat, whose work travels through mailboxes on other sockets —
- * the ladder kept probing drained local deques. The informed policies
- * consult the OccupancyBoard (and, for occupancy+affinity, the thief's
- * data-region homes) so the ladder skips provably-dry levels and lands
- * on the mailbox-fed sockets directly.
+ * the ladder kept probing drained local deques. The informed policy
+ * consults the OccupancyBoard and the thief's data-region homes, so the
+ * ladder skips provably-dry levels and lands on the mailbox-fed sockets
+ * directly.
  *
  *   ./ablation_victim_policy [--scale=0.25] [--cores=32] [--seeds=5]
  *                            [--seed=first] [--threads=2]
@@ -46,24 +46,15 @@ namespace {
 
 struct PolicyRow
 {
-    const char *name;       ///< JSON "policy" field
+    const char *name; ///< JSON "policy" field
     bool hierarchical;
-    VictimPolicy victims;
-    EscalationPolicy escalation;
 };
 
+// Flat search is the blind baseline; hierarchical steals are the
+// informed (occupancy+affinity) ladder.
 const PolicyRow kRows[] = {
-    // Flat search is the blind baseline; the victim policy is only
-    // consulted by hierarchical steals.
-    {"flat", false, VictimPolicy::OccupancyAffinity,
-     EscalationPolicy::Fixed},
-    {"occupancy", true, VictimPolicy::Occupancy, EscalationPolicy::Fixed},
-    {"occupancy+affinity", true, VictimPolicy::OccupancyAffinity,
-     EscalationPolicy::Fixed},
-    // Extra (ungated) row: the self-tuning escalation on top of the full
-    // informed policy, so its effect stays visible in the artifact.
-    {"occupancy+affinity/esc-adaptive", true,
-     VictimPolicy::OccupancyAffinity, EscalationPolicy::Adaptive},
+    {"flat", false},
+    {"occupancy+affinity", true},
 };
 
 struct Measured
@@ -77,8 +68,6 @@ configOf(const PolicyRow &row, uint64_t seed)
 {
     sim::SimConfig c = sim::SimConfig::numaWs();
     c.sched.hierarchicalSteals = row.hierarchical;
-    c.sched.victimPolicy = row.victims;
-    c.sched.escalationPolicy = row.escalation;
     c.seed = seed;
     return c;
 }
@@ -94,8 +83,6 @@ threadedRows(JsonReport &report, double scale, int workers)
         o.numWorkers = workers;
         o.numPlaces = workers >= 4 ? 4 : (workers >= 2 ? 2 : 1);
         o.sched.hierarchicalSteals = row.hierarchical;
-        o.sched.victimPolicy = row.victims;
-        o.sched.escalationPolicy = row.escalation;
         Runtime rt(o);
 
         const double seconds = runThreadedFibHeat(rt, scale);
@@ -104,10 +91,7 @@ threadedRows(JsonReport &report, double scale, int workers)
         j.set("engine", "threaded")
             .set("workload", "fib+heat")
             .set("policy", row.name)
-            .set("escalation",
-                 row.escalation == EscalationPolicy::Adaptive
-                     ? "adaptive"
-                     : "fixed")
+            .set("escalation", "fixed")
             .set("workers", workers)
             .set("elapsed_s", seconds)
             .set("steal_attempts", stats.counters.stealAttempts)
@@ -196,10 +180,7 @@ main(int argc, char **argv)
                 j.set("engine", "sim")
                     .set("workload", sc.name)
                     .set("policy", row.name)
-                    .set("escalation",
-                         row.escalation == EscalationPolicy::Adaptive
-                             ? "adaptive"
-                             : "fixed")
+                    .set("escalation", "fixed")
                     .set("cores", args.cores)
                     .set("seed", seed)
                     .set("elapsed_s", r.elapsedSeconds)

@@ -15,7 +15,7 @@ JobHandle::wait()
         if (Worker *w = Worker::current()) {
             // Worker thread: help instead of blocking (claims queued
             // jobs too, so nested submit-and-wait cannot deadlock).
-            w->helpJob(s);
+            w->helpJobUntil(s, Worker::kNoDeadline);
         } else {
             std::unique_lock<std::mutex> lock(s.mutex);
             s.cv.wait(lock, [&s] {

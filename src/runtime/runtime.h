@@ -291,7 +291,7 @@ class TaskGroup
      * Spawn @p fn annotated with the data range it chiefly touches.
      * When the runtime has a PageMap (RuntimeOptions::pageMap), workers
      * resolve the range's home sockets and use them as the data-home
-     * affinity signal for VictimPolicy::OccupancyAffinity steals.
+     * affinity signal for hierarchical (informed) steals.
      */
     template <typename F>
     void spawn(F &&fn, Place place, const void *data,
@@ -505,13 +505,14 @@ class Worker
     void mainLoop();
     /** Help execute work until @p group has no pending children. */
     void helpSync(TaskGroup &group);
+    /** helpJobUntil's "no deadline": help until the job completes,
+     * with no clock read per iteration. */
+    static constexpr int64_t kNoDeadline = INT64_MAX;
     /** Help execute work — queued jobs included, so nested
-     * submit-and-wait cannot deadlock — until @p job completes
-     * (the worker-side JobHandle::wait). */
-    void helpJob(const JobState &job);
-    /** Bounded helpJob: stop once nowNs() passes @p deadline_ns (the
-     * worker-side JobHandle::waitUntil). Returns whether @p job is
-     * done. */
+     * submit-and-wait cannot deadlock — until @p job completes or
+     * nowNs() passes @p deadline_ns (the worker-side JobHandle::wait
+     * passes kNoDeadline, waitUntil its instant). Returns whether
+     * @p job is done. */
     bool helpJobUntil(const JobState &job, int64_t deadline_ns);
     /** Execute @p task, maintaining hint inheritance and accounting. */
     void executeTask(TaskBase *task);

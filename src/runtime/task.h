@@ -96,7 +96,7 @@ class TaskBase
 
     /** @name Data range this task chiefly touches (affinity hint)
      * Resolved against the runtime's PageMap to socket homes; feeds the
-     * OccupancyAffinity victim weighting. Zero bytes == no annotation. */
+     * informed victim weighting. Zero bytes == no annotation. */
     /// @{
     void
     setData(const void *addr, std::size_t bytes)

@@ -298,7 +298,7 @@ Worker::pushBack(TaskBase *task)
 void
 Worker::noteAffinity(const TaskBase *task)
 {
-    // Data-home affinity for OccupancyAffinity steals: resolve the
+    // Data-home affinity for informed steals: resolve the
     // task's annotated data range through the affinity PageMap — the
     // user-supplied one, or the runtime's own data-plane map, so
     // PartedVec shards count without any configuration. First and last
@@ -373,7 +373,7 @@ Worker::executeTask(TaskBase *task)
                 : static_cast<int8_t>(-1),
             std::memory_order_relaxed);
     ++_counters.tasksExecuted;
-    if (_runtime.options().sched.affinityTracking())
+    if (_runtime.options().sched.hierarchicalSteals)
         noteAffinity(task);
     if (isConcretePlace(task->place()) && task->place() == _place)
         ++_counters.tasksOnHintedPlace;
@@ -480,42 +480,20 @@ Worker::helpSync(TaskGroup &group)
     ensureBucket(TimeSplit::Work);
 }
 
-void
-Worker::helpJob(const JobState &job)
+bool
+Worker::helpJobUntil(const JobState &job, int64_t deadline_ns)
 {
     // Like helpSync, but for a job join — and unlike a sync, the wait
     // *claims queued jobs too*: the joined job may still be sitting in
     // the admission queue behind us, and on a single-worker runtime no
-    // one else could ever claim it (nested submit-and-wait).
-    while (!job.done.load(std::memory_order_acquire)) {
-        TaskBase *t = acquireLocal();
-        if (t == nullptr)
-            t = _runtime.takeJob();
-        if (t == nullptr && _runtime.workActive())
-            t = trySteal();
-        if (t != nullptr) {
-            executeTask(t);
-        } else {
-            ensureBucket(TimeSplit::Idle);
-            for (int i = 0;
-                 i < 32 && !job.done.load(std::memory_order_acquire);
-                 ++i)
-                cpuRelax();
-        }
-    }
-    ensureBucket(TimeSplit::Work);
-}
-
-bool
-Worker::helpJobUntil(const JobState &job, int64_t deadline_ns)
-{
-    // helpJob with a clock bound (the worker-side waitUntil): keep
-    // executing useful work, but stop once the instant passes even if
-    // the job is unresolved. The deadline is checked between task
-    // executions only — a long task body overshoots, same as any
-    // cooperative scheme here.
+    // one else could ever claim it (nested submit-and-wait). A real
+    // deadline (the worker-side waitUntil) stops the help once the
+    // instant passes even if the job is unresolved; it is checked
+    // between task executions only — a long task body overshoots, same
+    // as any cooperative scheme here. kNoDeadline (the worker-side
+    // wait) skips the clock read entirely: work-first.
     while (!job.done.load(std::memory_order_acquire)
-           && nowNs() < deadline_ns) {
+           && (deadline_ns == kNoDeadline || nowNs() < deadline_ns)) {
         TaskBase *t = acquireLocal();
         if (t == nullptr)
             t = _runtime.takeJob();

@@ -9,7 +9,7 @@
  * occupancy — into a cache-aligned word shared by its socket, and thieves
  * read whole sockets at once to (a) skip provably-dry distance levels and
  * (b) weight candidate victims by occupancy (StealDistribution's
- * VictimPolicy sampling).
+ * informed sampling).
  *
  * Cost discipline: publications are *edge triggered*. A publish first
  * checks the current bit with a relaxed load and returns without any RMW

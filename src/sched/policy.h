@@ -260,19 +260,8 @@ struct SchedPolicy
     PushPolicyConfig pushPolicy{};
     /** Hierarchical level-by-level victim search with escalation. */
     bool hierarchicalSteals = false;
-    /** Consecutive failed steals per level before widening the search
-     * (the fixed budget, and the adaptive escalation's base). */
+    /** Consecutive failed steals per level before widening the search. */
     int stealEscalationFailures = 2;
-    /** Fixed (constant budget) or Adaptive (per-level success-rate EWMA)
-     * escalation; only meaningful with hierarchicalSteals. */
-    EscalationPolicy escalationPolicy = EscalationPolicy::Fixed;
-    /**
-     * Victim-selection policy for hierarchical steals. The default is
-     * the full informed policy (it soaked through PR 2's and PR 3's
-     * BENCH_victim_policy gates). Only consulted when hierarchicalSteals
-     * is on, so the paper-faithful flat configuration is unaffected.
-     */
-    VictimPolicy victimPolicy = VictimPolicy::OccupancyAffinity;
     /** Mailbox slots per worker (the paper's protocol is capacity 1). */
     int mailboxCapacity = 1;
     /** Idle-worker parking policy (see ParkPolicy). */
@@ -317,15 +306,6 @@ struct SchedPolicy
     boardPushTargeting() const
     {
         return pushTarget == PushTarget::Board;
-    }
-
-    /** Thief-side data-home affinity tracking feeds victim weighting
-     * (hierarchical steals are the informed ones). */
-    bool
-    affinityTracking() const
-    {
-        return hierarchicalSteals
-               && victimPolicy == VictimPolicy::OccupancyAffinity;
     }
     /// @}
 

@@ -46,15 +46,13 @@ StealCore::nextAction()
             // too, but that is not a board-informed skip — don't count
             // it as one.
             const int ladder_level = level;
-            a.victim = dist.sampleVictimInformed(
-                _self, &level, _policy.victimPolicy, *board, _affinity,
-                _rng);
+            a.victim = dist.sampleVictimInformed(_self, &level, *board,
+                                                 _affinity, _rng);
             if (level != ladder_level && !board_dry)
                 ++_counters.levelSkips;
         } else {
             a.victim = dist.sampleAtLevel(_self, level, _rng);
         }
-        a.probedLevel = level;
     } else {
         a.victim = dist.sample(_self, _rng);
     }
@@ -94,11 +92,11 @@ StealCore::onStealResult(const StealAction &action, bool got_work)
     if (!_policy.hierarchicalSteals)
         return;
     if (got_work) {
-        _esc.onSuccessfulSteal(action.probedLevel);
+        _esc.onSuccessfulSteal();
         return;
     }
     const int before = _esc.level();
-    _esc.onFailedSteal(action.probedLevel);
+    _esc.onFailedSteal();
     if (_esc.level() != before)
         ++_counters.escalations;
 }

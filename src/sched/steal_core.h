@@ -66,8 +66,6 @@ struct StealAction
     Kind kind = Kind::Probe;
     /** Victim worker/core id (Probe only). */
     int victim = -1;
-    /** Escalation level the probe sampled at (EWMA credit; -1 flat). */
-    int probedLevel = -1;
     /** BIASEDSTEALWITHPUSH: inspect the victim's mailbox before its
      * deque (coin flip, possibly overridden by a set mailbox bit). */
     bool checkMailboxFirst = false;
@@ -96,9 +94,8 @@ enum class WakeDirective : uint8_t
  * wants more spin (the work would have arrived within the spin budget)
  * and a short fallback; a machine idling through parks wants the
  * opposite — park sooner, sleep longer. Both scales sit exactly at the
- * configured constants at the neutral prior 0.5, mirroring the adaptive
- * escalation budget's shape, so a fresh tuner runs the configured
- * SchedPolicy constants and diverges only with evidence:
+ * configured constants at the neutral prior 0.5, so a fresh tuner runs
+ * the configured SchedPolicy constants and diverges only with evidence:
  *
  *   spinBudget    = clamp(2 * base * (1 - dryRate), max(1, base/4), 2*base)
  *   timeoutScale  = clamp(1 + 7 * (dryRate - 0.5), 0.5, 4.0)
@@ -225,7 +222,7 @@ class StealCore
           _self(self),
           _socket(socket),
           _rng(seed),
-          _esc(escalationConfig(policy)),
+          _esc(policy.stealEscalationFailures),
           _push(policy.pushThreshold, policy.pushPolicy),
           _tuner(policy.parkSpinFailures)
     {}
@@ -399,15 +396,6 @@ class StealCore
     /// @}
 
   private:
-    static EscalationConfig
-    escalationConfig(const SchedPolicy &p)
-    {
-        EscalationConfig cfg;
-        cfg.kind = p.escalationPolicy;
-        cfg.failuresPerLevel = p.stealEscalationFailures;
-        return cfg;
-    }
-
     bool boardUsable() const
     {
         return _view.board != nullptr && _view.board->enabled();

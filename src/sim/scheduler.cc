@@ -848,10 +848,10 @@ Simulation::stepExecute(int core)
         ++_counters.strandsExecuted;
         const double mem = _memory.cost(socketOf(core), item.accessBegin,
                                         item.accessEnd, _mem_counters);
-        if (_cfg.sched.affinityTracking()
+        if (_cfg.sched.hierarchicalSteals
             && item.accessBegin != item.accessEnd) {
             // Remember where this strand's data lives: the thief-side
-            // affinity signal for OccupancyAffinity victim weighting.
+            // affinity signal for informed victim weighting.
             uint32_t mask = 0;
             const int sockets = _machine.numSockets();
             for (uint32_t a = item.accessBegin; a != item.accessEnd;

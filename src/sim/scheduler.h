@@ -142,7 +142,7 @@ struct SimConfig
      * NUMA-WS plus every adaptive extension: hierarchical victim search
      * with escalation, the congestion-adaptive pushing threshold, and
      * remote steal-half batching, on the shipped SchedPolicy defaults —
-     * the OccupancyAffinity informed ladder (PR 3), the Board
+     * the occupancy+affinity informed ladder (PR 3), the Board
      * parking/PUSHBACK protocols (PR 4) and EWMA park tuning. Pass
      * ParkPolicy::Timer / PushTarget::Random explicitly for the blind
      * wake/receiver baselines; flat search (hierarchicalSteals = false)

@@ -6,18 +6,6 @@
 
 namespace numaws {
 
-const char *
-victimPolicyName(VictimPolicy p)
-{
-    switch (p) {
-      case VictimPolicy::Occupancy:
-        return "occupancy";
-      case VictimPolicy::OccupancyAffinity:
-        return "occupancy+affinity";
-    }
-    return "unknown";
-}
-
 StealDistribution::StealDistribution(const Machine &machine, int workers,
                                      const BiasWeights &weights)
     : _numWorkers(workers), _weights(weights)
@@ -233,8 +221,8 @@ StealDistribution::firstLiveLevel(int thief, int level,
 }
 
 double
-StealDistribution::weightOf(int thief, int victim, VictimPolicy policy,
-                            bool live, uint32_t affinity_sockets) const
+StealDistribution::weightOf(int thief, int victim, bool live,
+                            uint32_t affinity_sockets) const
 {
     const int h =
         std::min(_socketHops[static_cast<std::size_t>(
@@ -252,8 +240,7 @@ StealDistribution::weightOf(int thief, int victim, VictimPolicy policy,
         // Affinity masks cover 32 sockets; victims beyond that (huge
         // flat-SLIT machines) simply get no boost — shifting by >= 32
         // would be UB.
-        if (policy == VictimPolicy::OccupancyAffinity
-            && _workerSocket[victim] < 32
+        if (_workerSocket[victim] < 32
             && ((affinity_sockets >> _workerSocket[victim]) & 1u) != 0)
             w *= kAffinityBoost;
     }
@@ -261,16 +248,16 @@ StealDistribution::weightOf(int thief, int victim, VictimPolicy policy,
 }
 
 double
-StealDistribution::victimWeight(int thief, int victim, VictimPolicy policy,
+StealDistribution::victimWeight(int thief, int victim,
                                 const OccupancyBoard &board,
                                 uint32_t affinity_sockets) const
 {
-    return weightOf(thief, victim, policy,
-                    victimLive(thief, victim, board), affinity_sockets);
+    return weightOf(thief, victim, victimLive(thief, victim, board),
+                    affinity_sockets);
 }
 
 int
-StealDistribution::sampleFromSnap(int thief, int level, VictimPolicy policy,
+StealDistribution::sampleFromSnap(int thief, int level,
                                   const OccupancyBoard &board,
                                   const Snap &snap,
                                   uint32_t affinity_sockets,
@@ -288,7 +275,7 @@ StealDistribution::sampleFromSnap(int thief, int level, VictimPolicy policy,
     // couple of bit tests against the snapshot.
     const int tsock = _workerSocket[thief];
     const auto weight = [&](int v) {
-        return weightOf(thief, v, policy,
+        return weightOf(thief, v,
                         snap.live(board, tsock, v, _workerSocket[v],
                                   board.workerMask(v)),
                         affinity_sockets);
@@ -306,7 +293,7 @@ StealDistribution::sampleFromSnap(int thief, int level, VictimPolicy policy,
 }
 
 int
-StealDistribution::sampleVictim(int thief, int level, VictimPolicy policy,
+StealDistribution::sampleVictim(int thief, int level,
                                 const OccupancyBoard *board,
                                 uint32_t affinity_sockets, Rng &rng) const
 {
@@ -314,13 +301,12 @@ StealDistribution::sampleVictim(int thief, int level, VictimPolicy policy,
     if (board == nullptr || !board->enabled())
         return sampleAtLevel(thief, level, rng);
     level = std::min(std::max(level, 0), kNumStealLevels - 1);
-    return sampleFromSnap(thief, level, policy, *board, Snap(*board),
+    return sampleFromSnap(thief, level, *board, Snap(*board),
                           affinity_sockets, rng);
 }
 
 int
 StealDistribution::sampleVictimInformed(int thief, int *level_io,
-                                        VictimPolicy policy,
                                         const OccupancyBoard &board,
                                         uint32_t affinity_sockets,
                                         Rng &rng) const
@@ -336,7 +322,7 @@ StealDistribution::sampleVictimInformed(int thief, int *level_io,
     if (level < kNumStealLevels - 1)
         level = liveLevelFrom(thief, level, board, snap);
     *level_io = level;
-    return sampleFromSnap(thief, level, policy, board, snap,
+    return sampleFromSnap(thief, level, board, snap,
                           affinity_sockets, rng);
 }
 

@@ -31,26 +31,6 @@
 
 namespace numaws {
 
-/**
- * How hierarchical victim selection uses runtime information.
- *
- * Occupancy consults the OccupancyBoard: provably-dry levels are skipped
- * without burning the failures-per-level budget, and victims with
- * published work are weighted up. OccupancyAffinity further boosts
- * victims on sockets that home the thief's current data regions
- * (PageMap/NumaArena homing in the runtime; region homes in the
- * simulator), so a thief gravitates to the socket its working set lives
- * on. Flat (non-hierarchical) search is the blind baseline.
- */
-enum class VictimPolicy : uint8_t
-{
-    Occupancy,
-    OccupancyAffinity,
-};
-
-/** Stable name for bench JSON / CLI ("occupancy", "occupancy+affinity"). */
-const char *victimPolicyName(VictimPolicy p);
-
 /** Floor for the occupancy weight multiplier. The effective boost is
  * max(kOccupancyBoost, 2 * configured distance spread), computed per
  * StealDistribution, so occupancy always dominates distance: a dry
@@ -100,124 +80,33 @@ inline constexpr int kNumStealLevels = 4;
 inline constexpr int kCoreGroupSize = 2;
 
 /**
- * How the escalation ladder sets its failures-per-level budget.
- *
- * Fixed reproduces PR 1: a constant budget at every level. Adaptive
- * derives each level's budget from an EWMA of the steal-success rate
- * observed *at that level*: a level that keeps paying off earns patience
- * (budget grows toward twice the base), a level that keeps failing is
- * abandoned after as little as one failure. Both stay within
- * [minFailures, maxFailures], so escalation still reaches the outermost
- * level after a bounded number of failures and the steal bound keeps its
- * constant factor.
- */
-enum class EscalationPolicy : uint8_t
-{
-    Fixed,
-    Adaptive,
-};
-
-/** Escalation-ladder tuning; the EWMA fields matter only to Adaptive. */
-struct EscalationConfig
-{
-    EscalationPolicy kind = EscalationPolicy::Fixed;
-    /** Fixed budget, and the Adaptive rule's base (budget at rate 0.5). */
-    int failuresPerLevel = 2;
-    /** Clamp for the adaptive budget. */
-    int minFailures = 1;
-    int maxFailures = 8;
-    /** Weight of the newest steal outcome in the per-level EWMA. */
-    double ewmaAlpha = 0.25;
-};
-
-/**
  * Per-thief escalation ladder for hierarchical stealing.
  *
  * A thief starts at its innermost nonempty level; each run of
- * failureBudget() consecutive failed steal attempts widens the search by
- * one level, and a successful acquisition narrows it by one level (not a
+ * failures_per_level consecutive failed steal attempts widens the search
+ * by one level, and a successful acquisition narrows it by one level (not a
  * full reset: under steady cross-socket load the ladder settles at the
  * level where work actually is, instead of re-climbing from the core
  * level after every hit). Escalation reaches kLevelRemote (all victims)
- * after at most maxFailures * kNumStealLevels failures, which keeps the
- * steal bound within a constant factor of the flat scheme.
- *
- * Under EscalationPolicy::Adaptive the budget self-tunes from the
- * observed per-level steal-success rate (see EscalationPolicy docs); the
- * Fixed policy is the PR 1 behavior, kept for ablation.
+ * after at most failures_per_level * kNumStealLevels failures, which
+ * keeps the steal bound within a constant factor of the flat scheme.
  */
 class StealEscalation
 {
   public:
-    /** Fixed-policy ladder with a constant budget (PR 1 behavior). */
     explicit StealEscalation(int failures_per_level = 2)
+        : _failuresPerLevel(failures_per_level > 0 ? failures_per_level : 1)
     {
-        _cfg.failuresPerLevel =
-            failures_per_level > 0 ? failures_per_level : 1;
-        initRates();
-    }
-
-    explicit StealEscalation(const EscalationConfig &cfg) : _cfg(cfg)
-    {
-        if (_cfg.failuresPerLevel < 1)
-            _cfg.failuresPerLevel = 1;
-        if (_cfg.minFailures < 1)
-            _cfg.minFailures = 1;
-        if (_cfg.maxFailures < _cfg.minFailures)
-            _cfg.maxFailures = _cfg.minFailures;
-        if (_cfg.ewmaAlpha <= 0.0 || _cfg.ewmaAlpha > 1.0)
-            _cfg.ewmaAlpha = 0.25;
-        initRates();
     }
 
     int level() const { return _level; }
     bool atOutermostLevel() const { return _level == kNumStealLevels - 1; }
-    const EscalationConfig &config() const { return _cfg; }
 
-    /**
-     * Consecutive failures tolerated before widening, judged at the
-     * level the probes are actually sampling (the board's level-skip
-     * can probe wider than the ladder sits — evidence and budget must
-     * come from the same level, or the adaptive rule would freeze at
-     * the prior and degenerate to Fixed). Fixed: the constant.
-     * Adaptive: 2 * base * successRate, clamped — at the neutral rate
-     * 0.5 this equals the fixed budget, so the two policies start out
-     * identical and diverge only with evidence.
-     */
-    int
-    failureBudgetAt(int level) const
-    {
-        if (_cfg.kind == EscalationPolicy::Fixed)
-            return _cfg.failuresPerLevel;
-        const int at =
-            level >= 0 && level < kNumStealLevels ? level : _level;
-        const int b = static_cast<int>(2.0 * _cfg.failuresPerLevel
-                                           * _rate[at]
-                                       + 0.5);
-        return b < _cfg.minFailures
-                   ? _cfg.minFailures
-                   : (b > _cfg.maxFailures ? _cfg.maxFailures : b);
-    }
-
-    /** failureBudgetAt() at the ladder's own level. */
-    int failureBudget() const { return failureBudgetAt(_level); }
-
-    /** EWMA steal-success rate observed at @p level (test hook). */
-    double successRate(int level) const { return _rate[level]; }
-
-    /**
-     * A steal attempt found nothing: maybe widen the search.
-     * @param probed_level the level the probe actually sampled at — the
-     *        board's level-skip can widen past the ladder's level, and
-     *        the EWMA must credit the level that produced the outcome,
-     *        not the level the ladder sat at. Defaults to the ladder
-     *        level (the blind-search case).
-     */
+    /** A steal attempt found nothing: maybe widen the search. */
     void
-    onFailedSteal(int probed_level = -1)
+    onFailedSteal()
     {
-        observe(probed_level, 0.0);
-        if (++_failures >= failureBudgetAt(probed_level)
+        if (++_failures >= _failuresPerLevel
             && _level < kNumStealLevels - 1) {
             ++_level;
             _failures = 0;
@@ -226,38 +115,17 @@ class StealEscalation
 
     /** Work was acquired: narrow the search by one level. */
     void
-    onSuccessfulSteal(int probed_level = -1)
+    onSuccessfulSteal()
     {
-        observe(probed_level, 1.0);
         if (_level > 0)
             --_level;
         _failures = 0;
     }
 
   private:
-    void
-    initRates()
-    {
-        for (double &r : _rate)
-            r = 0.5; // neutral prior: adaptive starts at the fixed budget
-    }
-
-    void
-    observe(int probed_level, double outcome)
-    {
-        if (_cfg.kind != EscalationPolicy::Adaptive)
-            return;
-        const int at = probed_level >= 0 && probed_level < kNumStealLevels
-                           ? probed_level
-                           : _level;
-        _rate[at] = (1.0 - _cfg.ewmaAlpha) * _rate[at]
-                    + _cfg.ewmaAlpha * outcome;
-    }
-
-    EscalationConfig _cfg;
+    int _failuresPerLevel;
     int _level = 0;
     int _failures = 0;
-    double _rate[kNumStealLevels] = {};
 };
 
 /**
@@ -356,15 +224,15 @@ class StealDistribution
     /**
      * Sampling weight of @p victim for @p thief: the product of the
      * distance bias (perHop weights), kOccupancyBoost when the board
-     * shows work at the victim, and kAffinityBoost when policy is
-     * OccupancyAffinity and the victim's socket is in
-     * @p affinity_sockets (bit s == thief's data homed on socket s).
+     * shows work at the victim, and kAffinityBoost when it does and
+     * the victim's socket is in @p affinity_sockets (bit s == thief's
+     * data homed on socket s; 0 == pure occupancy weighting).
      * Strictly positive for every victim, so every victim keeps
      * probability >= 1/(cP) within the sampled prefix — the Section IV
      * lower bound survives with c <= kOccupancyBoost * kAffinityBoost *
      * max-distance-spread.
      */
-    double victimWeight(int thief, int victim, VictimPolicy policy,
+    double victimWeight(int thief, int victim,
                         const OccupancyBoard &board,
                         uint32_t affinity_sockets) const;
 
@@ -375,8 +243,7 @@ class StealDistribution
      * level-skip — engines use sampleVictimInformed(), which performs
      * skip and sample against one board snapshot.
      */
-    int sampleVictim(int thief, int level, VictimPolicy policy,
-                     const OccupancyBoard *board,
+    int sampleVictim(int thief, int level, const OccupancyBoard *board,
                      uint32_t affinity_sockets, Rng &rng) const;
 
     /**
@@ -387,7 +254,7 @@ class StealDistribution
      * @param level_io in: the escalation ladder's level; out: the level
      *        actually sampled (callers diff the two to count skips).
      */
-    int sampleVictimInformed(int thief, int *level_io, VictimPolicy policy,
+    int sampleVictimInformed(int thief, int *level_io,
                              const OccupancyBoard &board,
                              uint32_t affinity_sockets, Rng &rng) const;
     /// @}
@@ -398,7 +265,7 @@ class StealDistribution
 
     /** victimWeight with the liveness verdict precomputed (sampling
      * evaluates it against one board snapshot for consistency). */
-    double weightOf(int thief, int victim, VictimPolicy policy, bool live,
+    double weightOf(int thief, int victim, bool live,
                     uint32_t affinity_sockets) const;
 
     /** firstLiveLevel() against an existing snapshot. */
@@ -406,9 +273,9 @@ class StealDistribution
                       const Snap &snap) const;
 
     /** Weighted pick among victims at level <= @p level from @p snap. */
-    int sampleFromSnap(int thief, int level, VictimPolicy policy,
-                       const OccupancyBoard &board, const Snap &snap,
-                       uint32_t affinity_sockets, Rng &rng) const;
+    int sampleFromSnap(int thief, int level, const OccupancyBoard &board,
+                       const Snap &snap, uint32_t affinity_sockets,
+                       Rng &rng) const;
 
     int _numWorkers;
     int _numSockets;

@@ -291,23 +291,18 @@ TEST(AdaptiveRuntime, FibMatchesSerialUnderAllKnobCombinations)
     }
 }
 
-TEST(AdaptiveSim, InformedPoliciesMatchWorkOfFlatSearch)
+TEST(AdaptiveSim, InformedPolicyMatchesWorkOfFlatSearch)
 {
-    // Victim policy changes where thieves look, never what executes.
+    // Victim selection changes where thieves look, never what executes.
     const sim::ComputationDag dag = placeZeroHeavyDag(8, 4, 2000.0);
     sim::SimConfig flat = sim::SimConfig::adaptiveNumaWs();
     flat.sched.hierarchicalSteals = false;
     const sim::SimResult base = sim::simulatePacked(dag, 16, flat);
     EXPECT_EQ(base.counters.levelSkips, 0u); // blind search
-    for (const VictimPolicy policy :
-         {VictimPolicy::Occupancy, VictimPolicy::OccupancyAffinity}) {
-        sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
-        cfg.sched.victimPolicy = policy;
-        const sim::SimResult r = sim::simulatePacked(dag, 16, cfg);
-        EXPECT_EQ(r.counters.strandsExecuted,
-                  base.counters.strandsExecuted);
-        EXPECT_EQ(r.counters.spawns, base.counters.spawns);
-    }
+    const sim::SimResult r =
+        sim::simulatePacked(dag, 16, sim::SimConfig::adaptiveNumaWs());
+    EXPECT_EQ(r.counters.strandsExecuted, base.counters.strandsExecuted);
+    EXPECT_EQ(r.counters.spawns, base.counters.spawns);
 }
 
 TEST(AdaptiveSim, InformedPolicySkipsProbesOnHintedWork)
@@ -315,9 +310,8 @@ TEST(AdaptiveSim, InformedPolicySkipsProbesOnHintedWork)
     // Heavily hinted work makes local levels run dry: the board must
     // actually skip levels and replace probes with dry polls.
     const sim::ComputationDag dag = placeZeroHeavyDag(16, 8, 5000.0);
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
-    cfg.sched.victimPolicy = VictimPolicy::Occupancy;
-    const sim::SimResult r = sim::simulatePacked(dag, 16, cfg);
+    const sim::SimResult r =
+        sim::simulatePacked(dag, 16, sim::SimConfig::adaptiveNumaWs());
 
     // Flat search is the blind baseline: it never consults the board.
     sim::SimConfig blind = sim::SimConfig::adaptiveNumaWs();
@@ -331,23 +325,16 @@ TEST(AdaptiveSim, InformedPolicySkipsProbesOnHintedWork)
     EXPECT_EQ(r.counters.strandsExecuted, rb.counters.strandsExecuted);
 }
 
-TEST(AdaptiveRuntime, VictimPoliciesComputeCorrectResults)
+TEST(AdaptiveRuntime, InformedPolicyComputesCorrectResults)
 {
     const int n = 18;
-    const uint64_t expected = workloads::fibSerial(n);
-    for (const VictimPolicy policy :
-         {VictimPolicy::Occupancy, VictimPolicy::OccupancyAffinity}) {
-        RuntimeOptions o;
-        o.numWorkers = 4;
-        o.numPlaces = 2;
-        o.sched.hierarchicalSteals = true;
-        o.sched.victimPolicy = policy;
-        o.sched.escalationPolicy = EscalationPolicy::Adaptive;
-        o.sched.mailboxCapacity = 2;
-        Runtime rt(o);
-        EXPECT_EQ(workloads::fibParallel(rt, n, 10), expected)
-            << victimPolicyName(policy);
-    }
+    RuntimeOptions o;
+    o.numWorkers = 4;
+    o.numPlaces = 2;
+    o.sched.hierarchicalSteals = true;
+    o.sched.mailboxCapacity = 2;
+    Runtime rt(o);
+    EXPECT_EQ(workloads::fibParallel(rt, n, 10), workloads::fibSerial(n));
 }
 
 TEST(AdaptiveRuntime, AffinityResolvesDataHomesThroughThePageMap)
@@ -362,7 +349,6 @@ TEST(AdaptiveRuntime, AffinityResolvesDataHomesThroughThePageMap)
     o.numWorkers = 4;
     o.numPlaces = 2;
     o.sched.hierarchicalSteals = true;
-    o.sched.victimPolicy = VictimPolicy::OccupancyAffinity;
     o.pageMap = &pm;
     Runtime rt(o);
 

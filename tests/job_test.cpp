@@ -149,6 +149,35 @@ TEST(Job, NestedSubmitAndWaitOnWorkerDoesNotDeadlock)
     EXPECT_EQ(inner, 7);
 }
 
+TEST(Job, WorkerSideBoundedWaitsHelpOrGiveUp)
+{
+    // waitUntil/waitFor on a worker take the helping path (overload_test
+    // covers the blocking one): with one worker, a nested job runs only
+    // if its waiter claims it, so a lapsed deadline must return without
+    // running it and a live one must help-run it.
+    Runtime rt(smallRuntime(1));
+    int runs = 0;
+    bool lapsed = true, ran_early = true, helped = false;
+    std::thread::id waiter, runner;
+    rt.run([&] {
+        waiter = std::this_thread::get_id();
+        JobHandle a = rt.submit([&] { ++runs; });
+        lapsed = a.waitUntil(nowNs() - 1);
+        ran_early = runs != 0;
+        a.wait();
+        JobHandle b = rt.submit([&] {
+            ++runs;
+            runner = std::this_thread::get_id();
+        });
+        helped = b.waitFor(10'000'000'000LL);
+    });
+    EXPECT_FALSE(lapsed);
+    EXPECT_FALSE(ran_early);
+    EXPECT_TRUE(helped);
+    EXPECT_EQ(runs, 2);
+    EXPECT_EQ(runner, waiter);
+}
+
 TEST(Job, PlaceHintRespectedAsStartingSocket)
 {
     Runtime rt(smallRuntime(2)); // 2 places, 1 worker each

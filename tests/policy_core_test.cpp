@@ -138,9 +138,8 @@ serialize(const StealAction &a)
     std::ostringstream s;
     if (a.kind == StealAction::Kind::DryPoll)
         return "D";
-    s << "P v" << a.victim << " l" << a.probedLevel
-      << " m" << a.checkMailboxFirst << " i" << a.informedConsult
-      << " b" << a.remoteBatch << ":" << a.batchMax;
+    s << "P v" << a.victim << " m" << a.checkMailboxFirst << " i"
+      << a.informedConsult << " b" << a.remoteBatch << ":" << a.batchMax;
     return s.str();
 }
 
@@ -227,8 +226,6 @@ fullPolicy()
 {
     SchedPolicy p;
     p.hierarchicalSteals = true;
-    p.victimPolicy = VictimPolicy::OccupancyAffinity;
-    p.escalationPolicy = EscalationPolicy::Adaptive;
     p.pushPolicy.kind = PushPolicyKind::Adaptive;
     p.remoteStealHalf = true;
     p.parkSpinFailures = 4; // park often: exercise the tuner

@@ -308,91 +308,6 @@ TEST(StealEscalation, SuccessResetsTheFailureStreak)
 }
 
 // ---------------------------------------------------------------------
-// Self-tuning escalation (EscalationPolicy::Adaptive)
-// ---------------------------------------------------------------------
-
-TEST(StealEscalation, FixedConfigMatchesLegacyConstructor)
-{
-    EscalationConfig cfg;
-    cfg.kind = EscalationPolicy::Fixed;
-    cfg.failuresPerLevel = 2;
-    StealEscalation via_cfg(cfg);
-    StealEscalation legacy(2);
-    for (int i = 0; i < 10; ++i) {
-        EXPECT_EQ(via_cfg.level(), legacy.level()) << "step " << i;
-        EXPECT_EQ(via_cfg.failureBudget(), legacy.failureBudget());
-        via_cfg.onFailedSteal();
-        legacy.onFailedSteal();
-    }
-}
-
-TEST(StealEscalation, AdaptiveStartsAtTheFixedBudget)
-{
-    EscalationConfig cfg;
-    cfg.kind = EscalationPolicy::Adaptive;
-    cfg.failuresPerLevel = 4;
-    StealEscalation e(cfg);
-    // Neutral prior 0.5: 2 * base * 0.5 == base.
-    EXPECT_EQ(e.failureBudget(), 4);
-    EXPECT_DOUBLE_EQ(e.successRate(kLevelCore), 0.5);
-}
-
-TEST(StealEscalation, AdaptiveAbandonsAFailingLevelFaster)
-{
-    EscalationConfig cfg;
-    cfg.kind = EscalationPolicy::Adaptive;
-    cfg.failuresPerLevel = 4;
-    StealEscalation adaptive(cfg);
-    StealEscalation fixed(4);
-    // Drive both with pure failures: the adaptive budget shrinks with
-    // the EWMA, so the adaptive ladder reaches the outermost level
-    // first.
-    int adaptive_steps = 0, fixed_steps = 0;
-    while (!adaptive.atOutermostLevel()) {
-        adaptive.onFailedSteal();
-        ++adaptive_steps;
-    }
-    while (!fixed.atOutermostLevel()) {
-        fixed.onFailedSteal();
-        ++fixed_steps;
-    }
-    EXPECT_LT(adaptive_steps, fixed_steps);
-    // And the observed rate at the abandoned level collapsed.
-    EXPECT_LT(adaptive.successRate(kLevelCore), 0.5);
-}
-
-TEST(StealEscalation, AdaptiveEarnsPatienceFromSuccesses)
-{
-    EscalationConfig cfg;
-    cfg.kind = EscalationPolicy::Adaptive;
-    cfg.failuresPerLevel = 4;
-    cfg.maxFailures = 8;
-    StealEscalation e(cfg);
-    for (int i = 0; i < 20; ++i)
-        e.onSuccessfulSteal(); // all at the floor level
-    EXPECT_GT(e.successRate(kLevelCore), 0.9);
-    EXPECT_GT(e.failureBudget(), 4); // more patience than the base
-    EXPECT_LE(e.failureBudget(), 8); // but clamped
-}
-
-TEST(StealEscalation, AdaptiveBudgetStaysWithinClamp)
-{
-    EscalationConfig cfg;
-    cfg.kind = EscalationPolicy::Adaptive;
-    cfg.failuresPerLevel = 4;
-    cfg.minFailures = 1;
-    cfg.maxFailures = 6;
-    StealEscalation e(cfg);
-    for (int i = 0; i < 100; ++i) {
-        e.onFailedSteal();
-        EXPECT_GE(e.failureBudget(), 1);
-        EXPECT_LE(e.failureBudget(), 6);
-    }
-    // Saturated at the outermost level regardless of budget.
-    EXPECT_TRUE(e.atOutermostLevel());
-}
-
-// ---------------------------------------------------------------------
 // Informed victim selection (OccupancyBoard-weighted sampling)
 // ---------------------------------------------------------------------
 
@@ -403,13 +318,6 @@ boardFor(const StealDistribution &d)
     return OccupancyBoard(d.numWorkers(), d.workerSockets());
 }
 
-TEST(VictimPolicyNames, AreStable)
-{
-    EXPECT_STREQ(victimPolicyName(VictimPolicy::Occupancy), "occupancy");
-    EXPECT_STREQ(victimPolicyName(VictimPolicy::OccupancyAffinity),
-                 "occupancy+affinity");
-}
-
 TEST(VictimWeighting, OccupiedVictimOutranksAnyDryOne)
 {
     const Machine m = Machine::paperMachine();
@@ -417,10 +325,8 @@ TEST(VictimWeighting, OccupiedVictimOutranksAnyDryOne)
     OccupancyBoard board = boardFor(d);
     board.publishDeque(24, true); // two-hop victim, the worst distance
     // Thief 0: occupied two-hop victim must outweigh a dry pair buddy.
-    const double occupied_far =
-        d.victimWeight(0, 24, VictimPolicy::Occupancy, board, 0);
-    const double dry_near =
-        d.victimWeight(0, 1, VictimPolicy::Occupancy, board, 0);
+    const double occupied_far = d.victimWeight(0, 24, board, 0);
+    const double dry_near = d.victimWeight(0, 1, board, 0);
     EXPECT_GT(occupied_far, dry_near);
 }
 
@@ -432,18 +338,14 @@ TEST(VictimWeighting, AffinityBoostsOnlyLiveVictims)
     board.publishDeque(8, true); // socket 1
     const uint32_t affinity = 1u << 1; // thief's data homes on socket 1
     // Live + affine beats live alone...
-    const double live_affine = d.victimWeight(
-        0, 8, VictimPolicy::OccupancyAffinity, board, affinity);
-    const double live_plain = d.victimWeight(
-        0, 8, VictimPolicy::OccupancyAffinity, board, 0);
+    const double live_affine = d.victimWeight(0, 8, board, affinity);
+    const double live_plain = d.victimWeight(0, 8, board, 0);
     EXPECT_GT(live_affine, live_plain);
     // ...but a dry victim gains nothing from affinity: the inward bias
     // that caused the PR 1 heat regression must not come back.
-    const double dry_affine = d.victimWeight(
-        0, 9, VictimPolicy::OccupancyAffinity, board,
-        affinity | (1u << 0));
-    const double dry_plain =
-        d.victimWeight(0, 9, VictimPolicy::OccupancyAffinity, board, 0);
+    const double dry_affine =
+        d.victimWeight(0, 9, board, affinity | (1u << 0));
+    const double dry_plain = d.victimWeight(0, 9, board, 0);
     EXPECT_DOUBLE_EQ(dry_affine, dry_plain);
 }
 
@@ -455,10 +357,8 @@ TEST(VictimWeighting, AffinityTiesBreakByDistance)
     board.publishDeque(8, true);  // socket 1: one hop from thief 0
     board.publishDeque(24, true); // socket 3: two hops from thief 0
     const uint32_t affinity = (1u << 1) | (1u << 3); // both affine
-    const double one_hop = d.victimWeight(
-        0, 8, VictimPolicy::OccupancyAffinity, board, affinity);
-    const double two_hop = d.victimWeight(
-        0, 24, VictimPolicy::OccupancyAffinity, board, affinity);
+    const double one_hop = d.victimWeight(0, 8, board, affinity);
+    const double two_hop = d.victimWeight(0, 24, board, affinity);
     EXPECT_GT(one_hop, two_hop);
 }
 
@@ -472,8 +372,8 @@ TEST(VictimWeighting, CrossSocketMailboxIsNotLive)
     board.publishMailbox(8, true); // socket 1
     EXPECT_TRUE(d.victimLive(9, 8, board));  // same socket: live
     EXPECT_FALSE(d.victimLive(0, 8, board)); // cross socket: churn
-    EXPECT_EQ(d.victimWeight(0, 8, VictimPolicy::Occupancy, board, 0),
-              d.victimWeight(0, 9, VictimPolicy::Occupancy, board, 0));
+    EXPECT_EQ(d.victimWeight(0, 8, board, 0),
+              d.victimWeight(0, 9, board, 0));
 }
 
 TEST(VictimWeighting, EveryVictimKeepsPositiveWeight)
@@ -487,10 +387,7 @@ TEST(VictimWeighting, EveryVictimKeepsPositiveWeight)
     for (int v = 0; v < 32; ++v) {
         if (v == 0)
             continue;
-        EXPECT_GT(d.victimWeight(0, v, VictimPolicy::OccupancyAffinity,
-                                 board, 0xf),
-                  0.0)
-            << "victim " << v;
+        EXPECT_GT(d.victimWeight(0, v, board, 0xf), 0.0) << "victim " << v;
     }
 }
 
@@ -505,8 +402,8 @@ TEST(VictimSampling, AllDryBoardFallsBackToUniformWithinLevel)
     CategoryCounter counts(32);
     const int n = 70000;
     for (int i = 0; i < n; ++i)
-        counts.add(static_cast<std::size_t>(d.sampleVictim(
-            0, kLevelPlace, VictimPolicy::Occupancy, &board, 0, rng)));
+        counts.add(static_cast<std::size_t>(
+            d.sampleVictim(0, kLevelPlace, &board, 0, rng)));
     EXPECT_EQ(counts.count(0), 0);
     for (int v = 1; v <= 7; ++v)
         EXPECT_NEAR(counts.fraction(static_cast<std::size_t>(v)),
@@ -526,8 +423,8 @@ TEST(VictimSampling, ConcentratesOnTheOccupiedVictim)
     CategoryCounter counts(32);
     const int n = 50000;
     for (int i = 0; i < n; ++i)
-        counts.add(static_cast<std::size_t>(d.sampleVictim(
-            0, kLevelPlace, VictimPolicy::Occupancy, &board, 0, rng)));
+        counts.add(static_cast<std::size_t>(
+            d.sampleVictim(0, kLevelPlace, &board, 0, rng)));
     // Occupied victim 6 carries 16/(16 + 6) of the level weight.
     EXPECT_GT(counts.fraction(6), 0.6);
     EXPECT_EQ(counts.count(0), 0);
@@ -541,9 +438,7 @@ TEST(VictimSampling, SingleSocketDegenerateStaysValid)
     EXPECT_EQ(board.numSockets(), 1);
     Rng rng(3);
     for (int i = 0; i < 2000; ++i) {
-        const int v = d.sampleVictim(1, kLevelCore,
-                                     VictimPolicy::OccupancyAffinity,
-                                     &board, 1u, rng);
+        const int v = d.sampleVictim(1, kLevelCore, &board, 1u, rng);
         EXPECT_NE(v, 1);
         EXPECT_GE(v, 0);
         EXPECT_LT(v, 4);
