@@ -135,7 +135,12 @@ class WsDeque
         // original protocol's H increment-then-check.
         _head.store(h + 1, std::memory_order_relaxed);
         std::atomic_thread_fence(std::memory_order_seq_cst);
-        const int64_t t = _tail.load(std::memory_order_relaxed);
+        // Acquire pairs with pushTail's release store: the slot and
+        // everything the owner wrote before the push (the closure, the
+        // group's owner) are visible to the thief. The fence alone
+        // implies this too, but TSan does not model fences; on x86
+        // this is still a plain load.
+        const int64_t t = _tail.load(std::memory_order_acquire);
         if (h < t) {
             return _buffer[static_cast<std::size_t>(h) % _capacity];
         }

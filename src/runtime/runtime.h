@@ -61,6 +61,7 @@
 #include "support/panic.h"
 #include "support/pressure.h"
 #include "support/rng.h"
+#include "support/single_writer.h"
 #include "support/spin_lock.h"
 #include "support/timing.h"
 #include "topology/machine.h"
@@ -146,30 +147,40 @@ struct RuntimeOptions
     int watchdogMs = 0;
 };
 
-/** Per-worker event counters, aggregated by Runtime::stats(). */
-struct WorkerCounters
+/**
+ * Per-worker event counters, aggregated by Runtime::stats().
+ *
+ * @tparam Count storage: uint64_t for aggregates (WorkerCounters), a
+ *         SingleWriterCounter for a worker's live set
+ *         (LiveWorkerCounters). Each live counter has one writer, its
+ *         worker, while stats() may read it from another thread, so an
+ *         increment is a relaxed load plus a store: race-free, and no
+ *         locked RMW on the spawn path.
+ */
+template <typename Count>
+struct BasicWorkerCounters
 {
-    uint64_t spawns = 0;
-    uint64_t stealAttempts = 0;
-    uint64_t steals = 0;          ///< successful deque steals
-    uint64_t mailboxTakes = 0;    ///< frames obtained from a mailbox
-    uint64_t pushbackAttempts = 0;
-    uint64_t pushbackSuccesses = 0;
-    uint64_t pushbackGiveUps = 0; ///< threshold reached, ran it ourselves
-    uint64_t tasksExecuted = 0;
-    uint64_t tasksOnHintedPlace = 0; ///< hinted tasks run where hinted
-    uint64_t stealHalfBatches = 0;   ///< batched remote steals performed
-    uint64_t stealHalfTasks = 0;     ///< tasks moved by batched steals
+    Count spawns = 0;
+    Count stealAttempts = 0;
+    Count steals = 0;          ///< successful deque steals
+    Count mailboxTakes = 0;    ///< frames obtained from a mailbox
+    Count pushbackAttempts = 0;
+    Count pushbackSuccesses = 0;
+    Count pushbackGiveUps = 0; ///< threshold reached, ran it ourselves
+    Count tasksExecuted = 0;
+    Count tasksOnHintedPlace = 0; ///< hinted tasks run where hinted
+    Count stealHalfBatches = 0;   ///< batched remote steals performed
+    Count stealHalfTasks = 0;     ///< tasks moved by batched steals
     /** Decision counters (stealAttempts above, and the three below) are
      * maintained by each worker's StealCore — the shared policy brain —
      * and folded in by Runtime::stats() via Worker::foldCoreCounters. */
-    uint64_t escalations = 0;        ///< hierarchical level widenings
-    uint64_t levelSkips = 0;         ///< dry levels skipped via the board
-    uint64_t dryPolls = 0;           ///< probes skipped on a dry board
-    uint64_t yields = 0;             ///< preemption yields serviced
+    Count escalations = 0;        ///< hierarchical level widenings
+    Count levelSkips = 0;         ///< dry levels skipped via the board
+    Count dryPolls = 0;           ///< probes skipped on a dry board
+    Count yields = 0;             ///< preemption yields serviced
     /** Jobs claimed at an aged (promoted) effective class — the
      * priority-aging counter, bumped runtime-wide by takeJobAbove. */
-    uint64_t agedClaims = 0;
+    Count agedClaims = 0;
     /** @name Task-frame pool counters
      * Maintained by each worker's TaskFramePool and folded in by
      * Runtime::stats() via Worker::foldPoolCounters. framesRecycled /
@@ -177,10 +188,10 @@ struct WorkerCounters
      * is warm); remoteFrees counts frames thieves pushed home across
      * workers; slabBytes is a gauge of carved pool memory. */
     /// @{
-    uint64_t framesRecycled = 0; ///< pool allocations served from a free list
-    uint64_t remoteFrees = 0;    ///< frames freed onto a remote-free stack
-    uint64_t slabBytes = 0;      ///< pool memory carved from NumaArena
-    uint64_t slabFallbacks = 0;  ///< failed carves degraded to heap frames
+    Count framesRecycled = 0; ///< pool allocations served from a free list
+    Count remoteFrees = 0;    ///< frames freed onto a remote-free stack
+    Count slabBytes = 0;      ///< pool memory carved from NumaArena
+    Count slabFallbacks = 0;  ///< failed carves degraded to heap frames
     /// @}
     /** @name Data-plane counters
      * Maintained by each worker's NumaHeap (the user-data sibling of
@@ -189,45 +200,43 @@ struct WorkerCounters
      * path; dataRemoteFrees counts blocks freed cross-thread onto a
      * remote stack; dataSlabBytes gauges carved heap memory. */
     /// @{
-    uint64_t dataBytesPooled = 0;
-    uint64_t dataRemoteFrees = 0;
-    uint64_t dataSlabBytes = 0;
-    uint64_t dataSlabFallbacks = 0; ///< failed carves, plain-heap blocks
+    Count dataBytesPooled = 0;
+    Count dataRemoteFrees = 0;
+    Count dataSlabBytes = 0;
+    Count dataSlabFallbacks = 0; ///< failed carves, plain-heap blocks
     /// @}
     /** @name Parking counters
-     * Unlike every other counter (written only while executing or
-     * stealing inside an active root), these advance on the idle path
-     * too — workers park while the runtime is quiescent — so the
-     * live per-worker copies are atomics on Worker and stats() folds
-     * them in; these aggregate fields are plain (single-threaded
-     * aggregation only). */
+     * These advance on the idle path too: workers park while the
+     * runtime is quiescent. */
     /// @{
-    uint64_t parks = 0;              ///< idleWait entries
-    uint64_t parkWakes = 0;          ///< parks ended by a notification
-    uint64_t parkTimeouts = 0;       ///< parks ended by the timeout
-    uint64_t spuriousWakes = 0;      ///< wakes with a still-dry board
+    Count parks = 0;              ///< idleWait entries
+    Count parkWakes = 0;          ///< parks ended by a notification
+    Count parkTimeouts = 0;       ///< parks ended by the timeout
+    Count spuriousWakes = 0;      ///< wakes with a still-dry board
     /** Nanoseconds spent parked in idleWait: the elastic-pool yield
      * metric (parkedNs over total worker-idle time is the fraction of
-     * idleness actually handed back to the OS). Atomic on Worker for
-     * the same reason as the park counters. */
-    uint64_t parkedNs = 0;
+     * idleness actually handed back to the OS). */
+    Count parkedNs = 0;
     /** Interference adaptation (ServingPolicy::interference): times
      * this worker entered retirement (parked by the InterferenceCore
-     * verdict) and times it was reinstated. Idle-path counters like
-     * the park group: atomics on Worker, folded by stats(). */
-    uint64_t interferenceRetires = 0;
-    uint64_t interferenceReinstates = 0;
+     * verdict) and times it was reinstated. */
+    Count interferenceRetires = 0;
+    Count interferenceReinstates = 0;
     /// @}
     /** Jobs whose root completed on this worker (serving front door). */
-    uint64_t jobsCompleted = 0;
+    Count jobsCompleted = 0;
     /** Time-split bucket changes (clock reads on the accounting path).
      * Work-first accounting reads the clock only on a real state change
      * — running dry, a steal, a pushback, a wait's end — so this stays
      * proportional to steal-path events, never to spawns. */
-    uint64_t timeSplitSwitches = 0;
+    Count timeSplitSwitches = 0;
 
-    void merge(const WorkerCounters &o);
+    template <typename O>
+    void merge(const BasicWorkerCounters<O> &o);
 };
+
+using WorkerCounters = BasicWorkerCounters<uint64_t>;
+using LiveWorkerCounters = BasicWorkerCounters<SingleWriterCounter<uint64_t>>;
 
 /** Per-class job-resolution tallies (overload-protection telemetry).
  * `rejected` counts submit-time admission rejections, `shed` counts
@@ -267,6 +276,20 @@ struct RuntimeStats
  * the group have completed, helping to execute work while waiting (first
  * its own deque — descendants only — then stealing, so a blocked worker is
  * never idle while work exists). Groups nest arbitrarily.
+ *
+ * Ownership rule (Cilk's "a frame syncs only its own children"): every
+ * spawn into a group, and its sync, must come from the thread of the
+ * worker that made the group's first spawn — in practice, from the task
+ * body that declared the group. A child may not spawn into its parent's
+ * group; it declares its own. spawn() asserts this (always on).
+ *
+ * Steal-only join counter: the owner counts children in a plain
+ * _outstanding (spawn +1, a child it finishes itself -1), so a sync
+ * whose children all ran at home does no locked RMW. A child finished
+ * on any other worker (thief or mailbox receiver) does one release
+ * fetch_add on _remoteDone instead. The rule above is what makes the
+ * plain count safe: a task body never migrates, so every write to
+ * _outstanding happens on the owner's thread.
  */
 class TaskGroup
 {
@@ -300,24 +323,52 @@ class TaskGroup
     /** Wait for all spawned tasks, then rethrow the first exception. */
     void sync();
 
-    /** Outstanding children (test/diagnostic hook). */
-    int64_t pending() const
+    /** Outstanding children. Owner-side only: it reads the owner's
+     * plain count (test/diagnostic hook, and helpSync's exit test). */
+    int64_t
+    pending() const
     {
-        return _pending.load(std::memory_order_acquire);
+        return _outstanding - _remoteDone.load(std::memory_order_acquire);
     }
 
     /** @name Runtime-internal */
     /// @{
-    void onChildStart() { _pending.fetch_add(1, std::memory_order_relaxed); }
-    void onChildDone() { _pending.fetch_sub(1, std::memory_order_release); }
+    /** A child of this group finished on @p w. */
+    void
+    onChildDone(const Worker *w)
+    {
+        // _owner was written before the child's deque push, and every
+        // route off the deque (steal, mailbox, batched re-push) is an
+        // acquire chain from that push, so a remote finisher reads it
+        // race-free. The fetch_add is the finisher's last touch: the
+        // owner may return from sync and destroy the group right after.
+        if (w == _owner)
+            --_outstanding;
+        else
+            _remoteDone.fetch_add(1, std::memory_order_release);
+    }
     void recordException(std::exception_ptr e);
     /// @}
 
   private:
-    std::atomic<int64_t> _pending{0};
+    /** Worker of the first spawn; every later spawn must match. */
+    const Worker *_owner = nullptr;
+    /** Owner-only: children spawned minus children the owner finished. */
+    int64_t _outstanding = 0;
+    /** Children finished on other workers (release RMWs only). */
+    std::atomic<int64_t> _remoteDone{0};
     SpinLock _exceptionLock;
     std::exception_ptr _exception;
 };
+
+class Worker;
+
+namespace detail {
+/** The worker running on this thread (set by Worker::mainLoop). A
+ * header inline so Worker::current() — one TLS load on every spawn and
+ * sync — needs no out-of-line call. */
+inline thread_local Worker *tlsWorker = nullptr;
+} // namespace detail
 
 /**
  * A worker thread: deque + mailbox + RNG + place, and the scheduling loop.
@@ -333,10 +384,19 @@ class Worker
     Runtime &runtime() { return _runtime; }
 
     /** The worker executing the calling thread, or nullptr. */
-    static Worker *current();
+    static Worker *current() { return detail::tlsWorker; }
 
-    /** Owner-side push (spawn path). */
-    void pushTask(TaskBase *task);
+    /** Owner-side push (spawn path). Under board parking, a deque bit
+     * we already published means the publish could find no edge and
+     * wake no one (WakeDirective::None), so a spawn burst skips the
+     * out-of-line call after its first push. */
+    void
+    pushTask(TaskBase *task)
+    {
+        _deque.pushTail(task);
+        if (!(_boardParking && _dequeBitPublished))
+            publishOwnDequeAndNotify();
+    }
 
     /** Current inherited locality hint of the executing task. */
     Place currentHint() const { return _currentHint; }
@@ -375,8 +435,8 @@ class Worker
     void serviceYield();
     /// @}
 
-    WorkerCounters &counters() { return _counters; }
-    TimeSplit &timeSplit() { return _time; }
+    LiveWorkerCounters &counters() { return _counters; }
+    LiveTimeSplit &timeSplit() { return _time; }
     /** Fold the StealCore decision counters into @p into
      * (Runtime::stats). */
     void
@@ -406,33 +466,6 @@ class Worker
         into.dataRemoteFrees += _dataHeap.remoteFrees();
         into.dataSlabBytes += _dataHeap.slabBytes();
         into.dataSlabFallbacks += _dataHeap.slabFallbacks();
-    }
-    /** Fold the atomic park counters into @p into (Runtime::stats). */
-    void
-    foldParkCounters(WorkerCounters &into) const
-    {
-        into.parks += _parks.load(std::memory_order_relaxed);
-        into.parkWakes += _parkWakes.load(std::memory_order_relaxed);
-        into.parkTimeouts +=
-            _parkTimeouts.load(std::memory_order_relaxed);
-        into.spuriousWakes +=
-            _spuriousWakes.load(std::memory_order_relaxed);
-        into.parkedNs += _parkedNs.load(std::memory_order_relaxed);
-        into.interferenceRetires +=
-            _interferenceRetires.load(std::memory_order_relaxed);
-        into.interferenceReinstates +=
-            _interferenceReinstates.load(std::memory_order_relaxed);
-    }
-    void
-    resetParkCounters()
-    {
-        _parks.store(0, std::memory_order_relaxed);
-        _parkWakes.store(0, std::memory_order_relaxed);
-        _parkTimeouts.store(0, std::memory_order_relaxed);
-        _spuriousWakes.store(0, std::memory_order_relaxed);
-        _parkedNs.store(0, std::memory_order_relaxed);
-        _interferenceRetires.store(0, std::memory_order_relaxed);
-        _interferenceReinstates.store(0, std::memory_order_relaxed);
     }
     /** Record a completed job's serving latency (Runtime::finishJob;
      * job roots always finish on a worker, so this is thread-private). */
@@ -466,7 +499,7 @@ class Worker
     uint64_t
     progressStamp() const
     {
-        return _progressStamp.load(std::memory_order_relaxed);
+        return _progressStamp;
     }
     /** Is the worker inside idleWait (or retired-parked) right now? */
     bool
@@ -598,6 +631,11 @@ class Worker
     /** Cached _options.sched.serving.preempt: the boundary peek must
      * not chase the options pointer on every spawn. */
     bool _preemptEnabled = false;
+    /** Cached _options.sched.boardParking() (pushTask's skip test). */
+    bool _boardParking = false;
+    /** Cached _options.sched.hierarchicalSteals: executeTask refreshes
+     * the affinity mask only for informed steals. */
+    bool _hierarchicalSteals = false;
     /** Published running-job class for preemption victim selection
      * (see runningCls()); written by executeTask, read by admitting
      * threads. Only maintained when _preemptEnabled. */
@@ -625,19 +663,10 @@ class Worker
      * escalation, park streaks/tuning) routes through here — the same
      * core the simulator drives, so the engines cannot diverge. */
     StealCore _core;
-    /** Park accounting advances while the runtime is quiescent (idle
-     * workers park between runs), so a concurrent stats() read must
-     * not race it: atomics, relaxed (counters, not synchronization). */
-    std::atomic<uint64_t> _parks{0};
-    std::atomic<uint64_t> _parkWakes{0};
-    std::atomic<uint64_t> _parkTimeouts{0};
-    std::atomic<uint64_t> _spuriousWakes{0};
-    /** Time actually spent parked in idleWait (elastic-pool metric). */
-    std::atomic<uint64_t> _parkedNs{0};
     /** @name Interference-adaptation state (ServingPolicy::interference)
-     * The sensor and epoch cadence are owner-only; the flags and
-     * counters are atomics because the watchdog and stats() read them
-     * from other threads (relaxed — diagnosis, not synchronization). */
+     * The sensor and epoch cadence are owner-only; the flag is atomic
+     * because the watchdog reads it from another thread (relaxed —
+     * diagnosis, not synchronization). */
     /// @{
     PressureSensor _pressureSensor;
     /** Cached serving.interference == Adapt (work-first: the idle-path
@@ -651,19 +680,17 @@ class Worker
     int _placeWorkers = 1; ///< workers sharing this worker's place
     bool _placeLeader = false;
     std::atomic<bool> _retiredNow{false};
-    std::atomic<uint64_t> _interferenceRetires{0};
-    std::atomic<uint64_t> _interferenceReinstates{0};
     /// @}
     /** @name Watchdog liveness state (RuntimeOptions::watchdogMs) */
     /// @{
     std::atomic<bool> _parkedNow{false};
-    std::atomic<uint64_t> _progressStamp{0};
+    SingleWriterCounter<uint64_t> _progressStamp;
     /// @}
     /** Per-class serving latency of jobs that completed here; folded
      * into RuntimeStats::jobLatency* by stats(). */
     LatencyHist _jobHist[kNumJobClasses];
-    WorkerCounters _counters;
-    TimeSplit _time;
+    LiveWorkerCounters _counters;
+    LiveTimeSplit _time;
     TimeSplit::Bucket _bucket = TimeSplit::Idle;
     int64_t _mark = 0;
 };
@@ -1000,7 +1027,15 @@ TaskGroup::spawn(F &&fn, Place place, const void *data,
     // Children compute for the same job as their spawner (null outside
     // any job), so stolen subtasks observe cancellation too.
     task->setJob(w->currentJob());
-    onChildStart();
+    // Steal-only join counter: the first spawn claims the group for this
+    // worker, before the push publishes the child to thieves; any later
+    // spawn from another worker breaks the ownership rule (see the class
+    // comment) and stops here.
+    if (_owner != w) {
+        NUMAWS_ASSERT(_owner == nullptr);
+        _owner = w;
+    }
+    ++_outstanding;
     ++w->counters().spawns;
     w->pushTask(task);
     // Preemption boundary: the child just pushed is this job's

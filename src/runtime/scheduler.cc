@@ -137,7 +137,6 @@ Runtime::stats() const
     RuntimeStats s;
     for (const auto &w : _workers) {
         s.counters.merge(const_cast<Worker &>(*w).counters());
-        w->foldParkCounters(s.counters);
         w->foldCoreCounters(s.counters);
         w->foldPoolCounters(s.counters);
         w->foldDataCounters(s.counters);
@@ -164,13 +163,12 @@ Runtime::resetStats()
 {
     NUMAWS_ASSERT(!workActive());
     for (auto &w : _workers) {
-        w->counters() = WorkerCounters{};
-        w->resetParkCounters();
+        w->counters() = LiveWorkerCounters{};
         w->resetJobHists();
         w->core().resetCounters();
         w->framePool().resetCounters();
         w->dataHeap().resetCounters();
-        w->timeSplit() = TimeSplit{};
+        w->timeSplit() = LiveTimeSplit{};
     }
     _agedClaims.store(0, std::memory_order_relaxed);
     _pressure.reset();

@@ -22,14 +22,17 @@ TaskGroup::sync()
 {
     Worker *w = Worker::current();
     NUMAWS_ASSERT(w != nullptr); // sync only from inside run()
+    NUMAWS_ASSERT(_owner == nullptr || _owner == w); // the owner's join
     w->helpSync(*this);
     NUMAWS_ASSERT(pending() == 0);
 
     // Lock only when a child failed. The unlocked read is ordered after
-    // every child's recordException: each child records before its
-    // release onChildDone, and helpSync exited on an acquire read of
-    // pending() == 0 that synchronizes with all of those decrements
-    // (they form one release sequence of RMWs on _pending).
+    // every child's recordException: a child the owner finished
+    // recorded on this very thread, and a remote child recorded before
+    // its release fetch_add on _remoteDone. helpSync exited on an
+    // acquire load of _remoteDone that read the last of those
+    // increments, and RMWs on one atomic form a single release
+    // sequence, so that load synchronizes with every remote child.
     if (_exception) {
         std::exception_ptr e;
         {

@@ -9,14 +9,10 @@
 
 namespace numaws {
 
-namespace {
-
-thread_local Worker *tlsWorker = nullptr;
-
-} // namespace
-
+template <typename Count>
+template <typename O>
 void
-WorkerCounters::merge(const WorkerCounters &o)
+BasicWorkerCounters<Count>::merge(const BasicWorkerCounters<O> &o)
 {
     spawns += o.spawns;
     stealAttempts += o.stealAttempts;
@@ -51,9 +47,10 @@ WorkerCounters::merge(const WorkerCounters &o)
     interferenceReinstates += o.interferenceReinstates;
     jobsCompleted += o.jobsCompleted;
     timeSplitSwitches += o.timeSplitSwitches;
-    // (The live park counters are atomics on Worker; Runtime::stats()
-    // folds them via foldParkCounters, so aggregates merge plainly.)
 }
+
+template void WorkerCounters::merge(const WorkerCounters &);
+template void WorkerCounters::merge(const LiveWorkerCounters &);
 
 Worker::Worker(Runtime &runtime, int id, int place, uint64_t seed,
                std::size_t deque_capacity)
@@ -84,6 +81,8 @@ Worker::Worker(Runtime &runtime, int id, int place, uint64_t seed,
     // Cached so the spawn-boundary yield peek costs one bool when
     // preemption is off (the work-first price of the whole feature).
     _preemptEnabled = pol.serving.preempt;
+    _boardParking = pol.boardParking();
+    _hierarchicalSteals = pol.hierarchicalSteals;
     // Interference adaptation: retire order is from the top of the
     // place's worker range downward, so the place leader (lowest id,
     // largest rank-from-top) retires last and keeps ticking the
@@ -96,12 +95,6 @@ Worker::Worker(Runtime &runtime, int id, int place, uint64_t seed,
     _placeWorkers = last - first;
     _retireRank = (last - 1) - id;
     _placeLeader = id == first;
-}
-
-Worker *
-Worker::current()
-{
-    return tlsWorker;
 }
 
 void
@@ -133,13 +126,6 @@ Worker::publishOwnDequeAndNotify()
       case WakeDirective::None:
         break;
     }
-}
-
-void
-Worker::pushTask(TaskBase *task)
-{
-    _deque.pushTail(task);
-    publishOwnDequeAndNotify();
 }
 
 TaskBase *
@@ -373,7 +359,7 @@ Worker::executeTask(TaskBase *task)
                 : static_cast<int8_t>(-1),
             std::memory_order_relaxed);
     ++_counters.tasksExecuted;
-    if (_runtime.options().sched.hierarchicalSteals)
+    if (_hierarchicalSteals)
         noteAffinity(task);
     if (isConcretePlace(task->place()) && task->place() == _place)
         ++_counters.tasksOnHintedPlace;
@@ -402,13 +388,10 @@ Worker::executeTask(TaskBase *task)
     TaskGroup *const group = task->group();
     releaseTask(task);
     if (group != nullptr)
-        group->onChildDone();
+        group->onChildDone(this);
     // Liveness signal for the stall watchdog, one per completed task
-    // body. This worker is the only writer, so a plain load+store
-    // replaces a locked fetch_add; readers only need a torn-free value.
-    _progressStamp.store(
-        _progressStamp.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
+    // body (single writer: a load plus a store, no locked RMW).
+    ++_progressStamp;
 }
 
 void
@@ -537,7 +520,7 @@ Worker::retirePark()
     // loop re-enters here every epoch while the verdict holds).
     if (!_retiredNow.load(std::memory_order_relaxed)) {
         _retiredNow.store(true, std::memory_order_relaxed);
-        _interferenceRetires.fetch_add(1, std::memory_order_relaxed);
+        ++_counters.interferenceRetires;
     }
     // Park for one pressure epoch directly on the lot with a
     // shutdown-only predicate: Runtime::idleWait's work predicates
@@ -555,8 +538,7 @@ Worker::retirePark()
         std::this_thread::sleep_for(epoch);
     _parkedNow.store(false, std::memory_order_relaxed);
     const int64_t parked = nowNs() - park_start;
-    _parkedNs.fetch_add(static_cast<uint64_t>(parked),
-                        std::memory_order_relaxed);
+    _counters.parkedNs += static_cast<uint64_t>(parked);
     _pressureSensor.notePark(parked);
     // A fully retired socket still needs its epochs ticked or it could
     // never re-expand: the retired leader samples from here. Parked
@@ -570,7 +552,7 @@ Worker::retirePark()
 void
 Worker::mainLoop()
 {
-    tlsWorker = this;
+    detail::tlsWorker = this;
     // Data-plane thread binding: numa::allocate on this thread routes
     // through our NUMA-local heap (fast path) and the runtime's arena.
     numa::bindThread(numa::ThreadBinding{
@@ -604,8 +586,7 @@ Worker::mainLoop()
                 // Reinstated this iteration: restart the epoch so park
                 // time spent retired never reads as interference.
                 _retiredNow.store(false, std::memory_order_relaxed);
-                _interferenceReinstates.fetch_add(
-                    1, std::memory_order_relaxed);
+                ++_counters.interferenceReinstates;
                 _pressureSensor.begin();
             } else {
                 maybeSamplePressure();
@@ -630,20 +611,19 @@ Worker::mainLoop()
         // budget and decides when spinning should give way to parking.
         _core.noteFruitless();
         if (_core.takeParkRequest()) {
-            _parks.fetch_add(1, std::memory_order_relaxed);
+            ++_counters.parks;
             const int64_t park_start = nowNs();
             _parkedNow.store(true, std::memory_order_relaxed);
             if (_runtime.idleWait(
                     _place, static_cast<int>(_core.parkTimeoutUs())))
-                _parkWakes.fetch_add(1, std::memory_order_relaxed);
+                ++_counters.parkWakes;
             else
-                _parkTimeouts.fetch_add(1, std::memory_order_relaxed);
+                ++_counters.parkTimeouts;
             _parkedNow.store(false, std::memory_order_relaxed);
             // Parked wall time: the elastic-pool yield metric (the
             // fraction of idleness actually handed back to the OS).
             const int64_t parked = nowNs() - park_start;
-            _parkedNs.fetch_add(static_cast<uint64_t>(parked),
-                                std::memory_order_relaxed);
+            _counters.parkedNs += static_cast<uint64_t>(parked);
             // Voluntary sleep is not interference: exclude it from the
             // pressure epoch's wall base.
             if (_interferenceEnabled)
@@ -657,8 +637,7 @@ Worker::mainLoop()
                 const bool found = _runtime.board().anyWorkFor(_place)
                                    || _runtime.jobPending();
                 if (!found)
-                    _spuriousWakes.fetch_add(1,
-                                             std::memory_order_relaxed);
+                    ++_counters.spuriousWakes;
                 _core.onParkOutcome(found);
             }
         } else {
@@ -667,7 +646,7 @@ Worker::mainLoop()
     }
     switchBucket(TimeSplit::Idle); // flush the final segment
     numa::unbindThread();
-    tlsWorker = nullptr;
+    detail::tlsWorker = nullptr;
 }
 
 } // namespace numaws

@@ -35,6 +35,7 @@
 
 #include "sched/policy.h"
 #include "support/rng.h"
+#include "support/single_writer.h"
 #include "topology/place.h"
 
 namespace numaws {
@@ -153,14 +154,16 @@ class ParkTuner
 };
 
 /** Decision counters the core maintains; engines fold them into their
- * own stats vocabulary (WorkerCounters / SimCounters). */
+ * own stats vocabulary (WorkerCounters / SimCounters). Single-writer:
+ * the owning worker bumps them while Runtime::stats() reads them. */
 struct StealCoreCounters
 {
-    uint64_t stealAttempts = 0; ///< probes issued (dry polls excluded)
-    uint64_t dryPolls = 0;      ///< probes replaced by a dry board poll
-    uint64_t levelSkips = 0;    ///< dry levels skipped via the board
-    uint64_t escalations = 0;   ///< hierarchical level widenings
-    uint64_t yields = 0;        ///< preemption yields serviced
+    using Count = SingleWriterCounter<uint64_t>;
+    Count stealAttempts = 0; ///< probes issued (dry polls excluded)
+    Count dryPolls = 0;      ///< probes replaced by a dry board poll
+    Count levelSkips = 0;    ///< dry levels skipped via the board
+    Count escalations = 0;   ///< hierarchical level widenings
+    Count yields = 0;        ///< preemption yields serviced
 };
 
 /**

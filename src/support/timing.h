@@ -9,6 +9,8 @@
 #include <chrono>
 #include <cstdint>
 
+#include "support/single_writer.h"
+
 namespace numaws {
 
 /** Monotonic nanosecond timestamp. */
@@ -42,16 +44,26 @@ class WallTimer
     int64_t _start;
 };
 
+/** TimeSplit's buckets, in a base shared by every BasicTimeSplit so a
+ * live split and an aggregate name one Bucket type. */
+struct TimeSplitBuckets
+{
+    enum Bucket { Work = 0, Scheduling = 1, Idle = 2, NumBuckets = 3 };
+};
+
 /**
  * Accumulator that splits a worker's lifetime into named buckets
  * (work / scheduling / idle), mirroring the paper's Figure 3 and 8
  * decomposition. The caller brackets each activity with enter/exit.
+ *
+ * @tparam Ns bucket storage: int64_t for aggregates (TimeSplit), a
+ *         SingleWriterCounter for a worker's live split (LiveTimeSplit),
+ *         which Runtime::stats() reads while the worker writes it.
  */
-class TimeSplit
+template <typename Ns>
+class BasicTimeSplit : public TimeSplitBuckets
 {
   public:
-    enum Bucket { Work = 0, Scheduling = 1, Idle = 2, NumBuckets = 3 };
-
     void
     add(Bucket b, int64_t ns)
     {
@@ -61,16 +73,20 @@ class TimeSplit
     int64_t ns(Bucket b) const { return _ns[b]; }
     double seconds(Bucket b) const { return static_cast<double>(_ns[b]) * 1e-9; }
 
+    template <typename O>
     void
-    merge(const TimeSplit &other)
+    merge(const BasicTimeSplit<O> &other)
     {
         for (int b = 0; b < NumBuckets; ++b)
-            _ns[b] += other._ns[b];
+            _ns[b] += other.ns(static_cast<Bucket>(b));
     }
 
   private:
-    int64_t _ns[NumBuckets] = {0, 0, 0};
+    Ns _ns[NumBuckets] = {0, 0, 0};
 };
+
+using TimeSplit = BasicTimeSplit<int64_t>;
+using LiveTimeSplit = BasicTimeSplit<SingleWriterCounter<int64_t>>;
 
 } // namespace numaws
 

@@ -1,16 +1,19 @@
 /**
  * @file
  * Threaded runtime tests: fork-join correctness, nesting, exceptions,
- * parallel_for semantics, repeated runs, and work-stealing liveness.
+ * parallel_for semantics, repeated runs, work-stealing liveness, and
+ * the steal-only join counter's remote path and ownership rule.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "runtime/api.h"
+#include "support/spin_lock.h"
 #include "workloads/workloads.h"
 
 namespace numaws {
@@ -257,6 +260,111 @@ TEST(Runtime, ManySmallRunsDoNotLeakWork)
         });
         ASSERT_EQ(n.load(), 20) << "round " << round;
     }
+}
+
+// Steal-only join counter. A child the owner pops itself is counted
+// down in the owner's plain count; a child finished elsewhere goes
+// through _remoteDone. These tests force the remote path: the body
+// never pops before sync, it spins until the child has started on the
+// other worker. They make no timing assertion, and under TSan a join
+// that failed to publish the child's writes shows up as a race.
+
+/** Spawn @p child into @p tg, then spin (no pop) until it has started
+ * on another worker. Returns the spawning worker's id. */
+template <typename F>
+int
+spawnAndWaitForThief(TaskGroup &tg, std::atomic<bool> &started, F child)
+{
+    tg.spawn([&started, child]() mutable {
+        started.store(true, std::memory_order_relaxed);
+        child();
+    });
+    while (!started.load(std::memory_order_relaxed))
+        cpuRelax();
+    return Worker::current()->id();
+}
+
+TEST(JoinCounter, RemoteChildCompletesTheJoin)
+{
+    Runtime rt(smallOptions(2));
+    int value = 0; // plain on purpose: only the join may publish it
+    int child_worker = -1;
+    int owner_worker = -1;
+    int64_t pending_after = -1;
+    rt.run([&] {
+        std::atomic<bool> started{false};
+        TaskGroup tg;
+        owner_worker = spawnAndWaitForThief(tg, started, [&] {
+            child_worker = Worker::current()->id();
+            value = 42;
+        });
+        tg.sync();
+        EXPECT_EQ(value, 42);
+        pending_after = tg.pending();
+    });
+    EXPECT_NE(child_worker, owner_worker);
+    EXPECT_EQ(pending_after, 0);
+}
+
+TEST(JoinCounter, RemoteChildExceptionIsRethrownAtSync)
+{
+    Runtime rt(smallOptions(2));
+    int child_worker = -1;
+    int owner_worker = -1;
+    bool caught = false;
+    rt.run([&] {
+        std::atomic<bool> started{false};
+        TaskGroup tg;
+        owner_worker = spawnAndWaitForThief(tg, started, [&] {
+            child_worker = Worker::current()->id();
+            throw std::runtime_error("stolen child");
+        });
+        try {
+            tg.sync();
+        } catch (const std::runtime_error &e) {
+            caught = std::string(e.what()) == "stolen child";
+        }
+        EXPECT_EQ(tg.pending(), 0);
+    });
+    EXPECT_NE(child_worker, owner_worker);
+    EXPECT_TRUE(caught);
+}
+
+// Mixed local and remote children: nested fib groups on 4 workers, where
+// some children are popped at home and some are stolen.
+TEST(JoinCounter, MixedLocalAndRemoteChildren)
+{
+    Runtime rt(smallOptions(4));
+    rt.resetStats();
+    constexpr int kRuns = 20;
+    for (int r = 0; r < kRuns; ++r)
+        ASSERT_EQ(workloads::fibParallel(rt, 22, 6),
+                  workloads::fibSerial(22))
+            << "run " << r;
+    // Every spawned child ran exactly once (plus one root per run).
+    const WorkerCounters c = rt.stats().counters;
+    EXPECT_EQ(c.tasksExecuted, c.spawns + kRuns);
+}
+
+// Cilk's rule: a group's spawns come from its own frame. A stolen child
+// spawning into its parent's group would write the owner's plain count
+// from another thread, so spawn stops it.
+void
+spawnIntoParentGroupFromThief()
+{
+    Runtime rt(smallOptions(2));
+    rt.run([&] {
+        std::atomic<bool> started{false};
+        TaskGroup tg;
+        spawnAndWaitForThief(tg, started, [&tg] { tg.spawn([] {}); });
+        tg.sync();
+    });
+}
+
+TEST(JoinCounterDeathTest, StolenChildSpawningIntoParentGroupAsserts)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(spawnIntoParentGroupFromThief(), "_owner == nullptr");
 }
 
 } // namespace

@@ -1,10 +1,12 @@
 /**
  * @file
  * Unit tests for the support utilities: RNG quality basics, statistics
- * accumulators, the table printer, and the CLI parser.
+ * accumulators, the table printer, the CLI parser, and single-writer
+ * counters.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -13,6 +15,7 @@
 #include "support/cache_aligned.h"
 #include "support/cli.h"
 #include "support/rng.h"
+#include "support/single_writer.h"
 #include "support/spin_lock.h"
 #include "support/stats.h"
 #include "support/table.h"
@@ -213,6 +216,41 @@ TEST(TimeSplit, BucketsAccumulateAndMerge)
     EXPECT_EQ(a.ns(TimeSplit::Work), 125);
     EXPECT_EQ(a.ns(TimeSplit::Idle), 50);
     EXPECT_EQ(a.ns(TimeSplit::Scheduling), 0);
+}
+
+// A worker's live counters: one thread writes, another reads and merges
+// into a plain aggregate meanwhile (Runtime::stats() on a busy runtime).
+TEST(SingleWriterCounter, ReaderSeesMonotoneValuesWhileOwnerWrites)
+{
+    constexpr int64_t kBumps = 100000;
+    SingleWriterCounter<uint64_t> count;
+    LiveTimeSplit live;
+    std::atomic<bool> done{false};
+    std::thread owner([&] {
+        for (int64_t i = 0; i < kBumps; ++i) {
+            ++count;
+            live.add(TimeSplit::Work, 2);
+        }
+        done.store(true, std::memory_order_release);
+    });
+    uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+        const uint64_t now = count;
+        EXPECT_GE(now, last);
+        last = now;
+        TimeSplit snapshot;
+        snapshot.merge(live);
+        EXPECT_EQ(snapshot.ns(TimeSplit::Work) % 2, 0);
+    }
+    owner.join();
+    EXPECT_EQ(count.load(), static_cast<uint64_t>(kBumps));
+    TimeSplit total;
+    total.merge(live);
+    EXPECT_EQ(total.ns(TimeSplit::Work), 2 * kBumps);
+    // Copies carry the value (StealCore stays copy-assignable).
+    SingleWriterCounter<uint64_t> copy = count;
+    copy += 5;
+    EXPECT_EQ(copy.load(), count.load() + 5);
 }
 
 } // namespace
