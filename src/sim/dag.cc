@@ -1,10 +1,23 @@
 #include "sim/dag.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "mem/page_map.h"
 
 namespace numaws::sim {
+
+namespace {
+
+/** A fresh ComputationDag version (see ComputationDag::_version). */
+uint64_t
+nextVersion()
+{
+    static std::atomic<uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+} // namespace
 
 // ---------------------------------------------------------------------
 // ComputationDag
@@ -31,12 +44,13 @@ ComputationDag::workSpan(double spawn_cost, double sync_cost) const
                 w += item.cycles;
                 t += item.cycles;
                 break;
-              case ItemKind::Spawn:
-                w += spawn_cost + work[item.child];
+              case ItemKind::Spawn: {
+                const FrameId child = f.child(item);
+                w += spawn_cost + work[child];
                 t += spawn_cost;
-                pending_max =
-                    std::max(pending_max, t + span[item.child]);
+                pending_max = std::max(pending_max, t + span[child]);
                 break;
+              }
               case ItemKind::Sync:
                 w += sync_cost;
                 t += sync_cost;
@@ -97,53 +111,65 @@ ComputationDag::totalRegionBytes() const
 FrameId
 ComputationDag::append(const ComputationDag &other)
 {
-    NUMAWS_ASSERT(other._root != kNoFrame);
+    NUMAWS_ASSERT(other._root != kNoFrame && &other != this);
     const auto frame_off = static_cast<FrameId>(_frames.size());
-    const auto item_off = static_cast<uint32_t>(_items.size());
-    const auto access_off = static_cast<uint32_t>(_accesses.size());
     const auto region_off = static_cast<RegionId>(_regions.size());
 
     // Rebase the appended regions past our highest allocation, rounded
     // up to a fresh 1 MiB arena (the builder's base cursor starts at
     // 1 MiB, so every incoming base is >= that and the shift keeps all
-    // addresses disjoint and page aligned).
-    uint64_t high = 0;
-    for (const Region &r : _regions)
-        high = std::max(high, r.base + r.bytes);
+    // addresses disjoint and page aligned). Region ends grow with their
+    // ids — the builder's cursor only advances and every append lands
+    // past the last end — so the last region ends highest.
+    const uint64_t high = _regions.empty()
+                              ? 0
+                              : _regions.back().base + _regions.back().bytes;
     constexpr uint64_t kArena = 1ULL << 20;
     const uint64_t delta = (high + kArena - 1) / kArena * kArena;
-
     for (const Region &r : other._regions) {
         Region copy = r;
         copy.base += delta;
         _regions.push_back(std::move(copy));
     }
-    for (const MemAccess &a : other._accesses) {
-        MemAccess copy = a;
-        copy.region += region_off;
-        _accesses.push_back(copy);
+
+    // The first append of this version of @p other brings its items and
+    // accesses; every later one shares them.
+    const auto [slot, fresh] = _shared.try_emplace(
+        other._version,
+        SharedSlice{static_cast<uint32_t>(_items.size()),
+                    static_cast<uint32_t>(_accesses.size())});
+    const SharedSlice shared = slot->second;
+    if (fresh) {
+        _accesses.insert(_accesses.end(), other._accesses.begin(),
+                         other._accesses.end());
+        _items.insert(_items.end(), other._items.begin(),
+                      other._items.end());
+        for (std::size_t i = shared.itemBegin; i < _items.size(); ++i) {
+            _items[i].accessBegin += shared.accessBegin;
+            _items[i].accessEnd += shared.accessBegin;
+        }
     }
-    for (const Item &i : other._items) {
-        Item copy = i;
-        copy.accessBegin += access_off;
-        copy.accessEnd += access_off;
-        if (copy.child != kNoFrame)
-            copy.child += frame_off;
-        _items.push_back(copy);
-    }
-    for (const Frame &f : other._frames) {
-        Frame copy = f;
-        copy.itemBegin += item_off;
-        copy.itemEnd += item_off;
-        copy.parentResumeItem += item_off;
-        if (copy.parent != kNoFrame)
-            copy.parent += frame_off;
-        _frames.push_back(copy);
+
+    _frames.insert(_frames.end(), other._frames.begin(),
+                   other._frames.end());
+    for (std::size_t i = static_cast<std::size_t>(frame_off);
+         i < _frames.size(); ++i) {
+        Frame &f = _frames[i];
+        f.itemBegin += shared.itemBegin;
+        f.itemEnd += shared.itemBegin;
+        f.parentResumeItem += shared.itemBegin;
+        if (f.parent != kNoFrame)
+            f.parent += frame_off;
+        f.childOffset += frame_off;
+        f.regionOffset += region_off;
     }
     _numStrands += other._numStrands;
+    _version = nextVersion();
     const FrameId appended_root = other._root + frame_off;
-    if (_root == kNoFrame)
+    if (_root == kNoFrame) {
         _root = appended_root;
+        _nominal = other._nominal;
+    }
     return appended_root;
 }
 
@@ -198,7 +224,7 @@ DagBuilder::beginRoot(Place place)
     f.parent = kNoFrame;
     _dag._frames.push_back(f);
     _dag._root = 0;
-    _stack.push_back(OpenFrame{0, {}, 0});
+    _stack.push_back(OpenFrame{0, _pending.size(), 0});
 }
 
 void
@@ -217,20 +243,15 @@ DagBuilder::spawn(Place place)
     Item spawn_item;
     spawn_item.kind = ItemKind::Spawn;
     spawn_item.child = child;
-    parent.items.push_back(spawn_item);
+    _pending.push_back(spawn_item);
     ++parent.spawnsSinceSync;
 
-    _stack.push_back(OpenFrame{child, {}, 0});
+    _stack.push_back(OpenFrame{child, _pending.size(), 0});
 }
 
 void
-DagBuilder::strand(double cycles, std::initializer_list<MemAccess> accesses)
-{
-    strand(cycles, std::vector<MemAccess>(accesses));
-}
-
-void
-DagBuilder::strand(double cycles, const std::vector<MemAccess> &accesses)
+DagBuilder::strand(double cycles, const MemAccess *first,
+                   const MemAccess *last)
 {
     requireOpenFrame();
     NUMAWS_ASSERT(cycles >= 0.0);
@@ -238,16 +259,19 @@ DagBuilder::strand(double cycles, const std::vector<MemAccess> &accesses)
     item.kind = ItemKind::Strand;
     item.cycles = cycles;
     item.accessBegin = static_cast<uint32_t>(_dag._accesses.size());
-    for (const MemAccess &a : accesses) {
-        NUMAWS_ASSERT(a.region >= 0
-                      && a.region
+    for (const MemAccess *a = first; a != last; ++a) {
+        NUMAWS_ASSERT(a->region >= 0
+                      && a->region
                              < static_cast<RegionId>(_dag._regions.size()));
-        NUMAWS_ASSERT(a.offset + a.bytes <= _dag._regions[a.region].bytes);
-        if (a.bytes > 0)
-            _dag._accesses.push_back(a);
+        NUMAWS_ASSERT(a->rows >= 1
+                      && (a->rows == 1 || a->stride >= a->bytes));
+        NUMAWS_ASSERT(a->offset + (a->rows - 1ULL) * a->stride + a->bytes
+                      <= _dag._regions[a->region].bytes);
+        if (a->bytes > 0)
+            _dag._accesses.push_back(*a);
     }
     item.accessEnd = static_cast<uint32_t>(_dag._accesses.size());
-    _stack.back().items.push_back(item);
+    _pending.push_back(item);
     ++_dag._numStrands;
 }
 
@@ -257,7 +281,7 @@ DagBuilder::sync()
     requireOpenFrame();
     Item item;
     item.kind = ItemKind::Sync;
-    _stack.back().items.push_back(item);
+    _pending.push_back(item);
     _stack.back().spawnsSinceSync = 0;
 }
 
@@ -269,20 +293,23 @@ DagBuilder::end()
     if (_stack.back().spawnsSinceSync > 0)
         sync();
 
-    OpenFrame open = std::move(_stack.back());
+    const OpenFrame open = _stack.back();
     _stack.pop_back();
 
+    // The frame's items are the top of the pending stack: its children
+    // have all ended and taken theirs.
     Frame &f = _dag._frames[open.id];
     f.itemBegin = static_cast<uint32_t>(_dag._items.size());
-    for (std::size_t k = 0; k < open.items.size(); ++k) {
-        const Item &item = open.items[k];
+    for (std::size_t k = open.pendingBegin; k < _pending.size(); ++k) {
+        const Item &item = _pending[k];
         if (item.kind == ItemKind::Spawn) {
             // The parent's continuation resumes at the next item.
             _dag._frames[item.child].parentResumeItem =
-                f.itemBegin + static_cast<uint32_t>(k) + 1;
+                static_cast<uint32_t>(_dag._items.size()) + 1;
         }
         _dag._items.push_back(item);
     }
+    _pending.resize(open.pendingBegin);
     f.itemEnd = static_cast<uint32_t>(_dag._items.size());
 }
 
@@ -293,6 +320,8 @@ DagBuilder::finish()
     NUMAWS_ASSERT(_stack.empty());
     NUMAWS_ASSERT(_dag._root != kNoFrame);
     _finished = true;
+    _dag._nominal = _dag.workSpan(0.0, 0.0);
+    _dag._version = nextVersion();
     return std::move(_dag);
 }
 

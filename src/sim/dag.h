@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "support/panic.h"
@@ -58,12 +59,18 @@ struct Region
     uint64_t base = 0;
 };
 
-/** One contiguous byte range touched by a strand. */
+/**
+ * Byte ranges touched by a strand: @p rows runs of @p bytes, the r-th
+ * starting at offset + r * stride (one contiguous range by default; a
+ * row-major matrix block is one access with a row per block row).
+ */
 struct MemAccess
 {
     RegionId region;
     uint64_t offset;
     uint64_t bytes;
+    uint32_t rows = 1;
+    uint64_t stride = 0;
 };
 
 /** Frame item kinds. */
@@ -82,7 +89,14 @@ struct Item
     FrameId child = kNoFrame;
 };
 
-/** A function instance: a slice of the item array plus a locality hint. */
+/**
+ * A function instance: a slice of the item array plus a locality hint.
+ *
+ * Items and accesses are shared by every appended copy of a dag, so
+ * their frame and region ids are relative to the copy: a frame resolves
+ * them with child() and region(), which add its copy's offsets (zero in
+ * a dag straight from the builder).
+ */
 struct Frame
 {
     uint32_t itemBegin = 0;
@@ -91,6 +105,22 @@ struct Frame
     FrameId parent = kNoFrame;
     /** Item index in the parent where its continuation resumes. */
     uint32_t parentResumeItem = 0;
+    FrameId childOffset = 0;
+    RegionId regionOffset = 0;
+
+    /** The frame a Spawn item of this frame descends into. */
+    FrameId
+    child(const Item &spawn) const
+    {
+        return spawn.child + childOffset;
+    }
+
+    /** The region an access of one of this frame's strands touches. */
+    RegionId
+    region(const MemAccess &a) const
+    {
+        return a.region + regionOffset;
+    }
 };
 
 /** Nominal work/span of a dag in cycles (memory cost excluded). */
@@ -114,15 +144,23 @@ class ComputationDag
     FrameId root() const { return _root; }
     std::size_t numFrames() const { return _frames.size(); }
     std::size_t numItems() const { return _items.size(); }
+    std::size_t numAccesses() const { return _accesses.size(); }
     std::size_t numRegions() const { return _regions.size(); }
     std::size_t numStrands() const { return _numStrands; }
 
     /**
-     * Nominal work and span in cycles, with @p spawn_cost charged per
-     * spawn and @p sync_cost per sync (pass 0 for the serial elision's
-     * work). Span is the longest path through the fork-join structure.
+     * Nominal work and span of the root() tree in cycles, memory and
+     * scheduling costs excluded (the serial elision's work). Computed
+     * once, when the dag is sealed.
      */
-    WorkSpan workSpan(double spawn_cost = 0.0, double sync_cost = 0.0) const;
+    WorkSpan workSpan() const { return _nominal; }
+
+    /**
+     * Work and span of the root() tree with @p spawn_cost charged per
+     * spawn and @p sync_cost per sync. Span is the longest path through
+     * the fork-join structure.
+     */
+    WorkSpan workSpan(double spawn_cost, double sync_cost) const;
 
     /** Home socket of a byte within a region, given the socket count. */
     int homeOf(RegionId r, uint64_t offset, int sockets) const;
@@ -135,25 +173,46 @@ class ComputationDag
 
     /**
      * Graft @p other into this dag as an additional independent tree
-     * (the serving front door's multi-job merge): frames, items,
-     * accesses, and regions are copied with their indices remapped,
-     * and region base addresses are rebased past this dag's highest
+     * (the serving front door's multi-job merge). Frames and regions
+     * are copied per call; the copied frames carry the frame and
+     * region offsets their shared items and accesses resolve with.
+     * Items and accesses are copied only the first time a given
+     * version of @p other is appended, and shared by every later copy
+     * of it. Region base addresses are rebased past this dag's highest
      * allocation so the LLC model never aliases two jobs' data.
-     * root() is unchanged (set from the first tree appended into an
-     * empty dag); the returned FrameId is @p other's root here —
-     * the job root the serving simulator injects at arrival time.
+     * root() and workSpan() are unchanged (set from the first tree
+     * appended into an empty dag); the returned FrameId is @p other's
+     * root here — the job root the serving simulator injects at
+     * arrival time.
      */
     FrameId append(const ComputationDag &other);
 
   private:
     friend class DagBuilder;
 
+    /** Where a source version's items and accesses start in ours. */
+    struct SharedSlice
+    {
+        uint32_t itemBegin;
+        uint32_t accessBegin;
+    };
+
     FrameId _root = kNoFrame;
     std::size_t _numStrands = 0;
+    WorkSpan _nominal;
+    /**
+     * Names the current contents of the item and access arrays: taken
+     * from a process-wide counter by finish() and by every append(),
+     * never reused, so a dag destroyed and rebuilt at the same address
+     * is never mistaken for one already appended.
+     */
+    uint64_t _version = 0;
     std::vector<Frame> _frames;
     std::vector<Item> _items;
     std::vector<MemAccess> _accesses;
     std::vector<Region> _regions;
+    /** Source versions appended so far, by version. */
+    std::unordered_map<uint64_t, SharedSlice> _shared;
 };
 
 /**
@@ -201,8 +260,16 @@ class DagBuilder
     void end();
 
     /** Append a strand to the current frame. */
-    void strand(double cycles, std::initializer_list<MemAccess> accesses);
-    void strand(double cycles, const std::vector<MemAccess> &accesses);
+    void
+    strand(double cycles, std::initializer_list<MemAccess> accesses)
+    {
+        strand(cycles, accesses.begin(), accesses.end());
+    }
+    void
+    strand(double cycles, const std::vector<MemAccess> &accesses)
+    {
+        strand(cycles, accesses.data(), accesses.data() + accesses.size());
+    }
 
     /** Append a cilk_sync to the current frame. */
     void sync();
@@ -222,17 +289,21 @@ class DagBuilder
 
   private:
     void requireOpenFrame() const;
+    void strand(double cycles, const MemAccess *first,
+                const MemAccess *last);
 
     ComputationDag _dag;
-    // Items are accumulated per open frame, then flattened on end() so a
+    // Items of the open frames accumulate on one pending stack, each
+    // frame's above its parent's, and move to the dag on end() so a
     // frame's items are contiguous.
     struct OpenFrame
     {
         FrameId id;
-        std::vector<Item> items;
+        std::size_t pendingBegin;
         int spawnsSinceSync = 0;
     };
     std::vector<OpenFrame> _stack;
+    std::vector<Item> _pending;
     uint64_t _nextBase = 1ULL << 20; // synthetic address space cursor
     bool _finished = false;
 };

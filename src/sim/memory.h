@@ -64,10 +64,12 @@ class SimMemory
               LatencyModel latency = {}, uint64_t granule_bytes = 4096);
 
     /**
-     * Cycles for the accesses of one strand executed on @p socket,
-     * updating that socket's LLC and the counters.
+     * Cycles for the accesses of @p strand, an item of @p frame,
+     * executed on @p socket, updating that socket's LLC and the
+     * counters. Accesses, their rows, and each row's granules are
+     * charged in order.
      */
-    double cost(int socket, uint32_t access_begin, uint32_t access_end,
+    double cost(int socket, const Frame &frame, const Item &strand,
                 MemCounters &counters);
 
     const LatencyModel &latency() const { return _latency; }

@@ -846,8 +846,8 @@ Simulation::stepExecute(int core)
     switch (item.kind) {
       case ItemKind::Strand: {
         ++_counters.strandsExecuted;
-        const double mem = _memory.cost(socketOf(core), item.accessBegin,
-                                        item.accessEnd, _mem_counters);
+        const double mem =
+            _memory.cost(socketOf(core), f, item, _mem_counters);
         if (_cfg.sched.hierarchicalSteals
             && item.accessBegin != item.accessEnd) {
             // Remember where this strand's data lives: the thief-side
@@ -857,10 +857,13 @@ Simulation::stepExecute(int core)
             for (uint32_t a = item.accessBegin; a != item.accessEnd;
                  ++a) {
                 const MemAccess &acc = _dag.access(a);
-                const int home =
-                    _dag.homeOf(acc.region, acc.offset, sockets);
-                if (home < 32) // affinity masks cover 32 sockets
-                    mask |= 1u << home;
+                const RegionId r = f.region(acc);
+                for (uint32_t row = 0; row < acc.rows; ++row) {
+                    const int home = _dag.homeOf(
+                        r, acc.offset + row * acc.stride, sockets);
+                    if (home < 32) // affinity masks cover 32 sockets
+                        mask |= 1u << home;
+                }
             }
             c.brain.setAffinity(mask);
         }
@@ -873,8 +876,8 @@ Simulation::stepExecute(int core)
         // 1-2). This is continuation stealing: the child runs here, the
         // parent's remainder becomes stealable.
         dequePushBack(core, Continuation{c.cur.frame, c.cur.item + 1});
-        c.cur = Continuation{item.child,
-                             _dag.frame(item.child).itemBegin};
+        const FrameId child = f.child(item);
+        c.cur = Continuation{child, _dag.frame(child).itemBegin};
         // Preemption boundary (TaskGroup::spawn's yieldPending check):
         // a raised directive checkpoints the fresh child onto the
         // private preempted stash — the continuation just pushed above

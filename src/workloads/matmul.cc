@@ -107,29 +107,23 @@ struct MatmulDagCtx
     const MatmulParams *p = nullptr;
 };
 
-/** Leaf block accesses for matrix @p m at block (bi, bj). */
-std::vector<sim::MemAccess>
+/** Leaf block access for matrix @p m at block (bi, bj). */
+sim::MemAccess
 blockAccess(const MatmulDagCtx &ctx, sim::RegionId m, uint32_t bi,
             uint32_t bj)
 {
     const MatmulParams &p = *ctx.p;
     const uint64_t bb = static_cast<uint64_t>(p.block);
-    std::vector<sim::MemAccess> out;
     if (p.zLayout) {
         // Blocked Z-Morton: the block is one contiguous range.
-        out.push_back({m, zMortonEncode(bi, bj) * bb * bb * 8,
-                       bb * bb * 8});
-    } else {
-        // Row-major: one strided access per block row.
-        const uint64_t n = p.n;
-        for (uint64_t r = 0; r < bb; ++r)
-            out.push_back({m,
-                           ((static_cast<uint64_t>(bi) * bb + r) * n
-                            + static_cast<uint64_t>(bj) * bb)
-                               * 8,
-                           bb * 8});
+        return {m, zMortonEncode(bi, bj) * bb * bb * 8, bb * bb * 8};
     }
-    return out;
+    // Row-major: one row per block row, a matrix row apart.
+    const uint64_t n = p.n;
+    return {m, (static_cast<uint64_t>(bi) * bb * n
+                + static_cast<uint64_t>(bj) * bb)
+                   * 8,
+            bb * 8, static_cast<uint32_t>(bb), n * 8};
 }
 
 /** Recursive 8-way dag over block-index ranges [bi0,+s) x [bj0,+s). */
@@ -139,15 +133,13 @@ matmulDagRec(MatmulDagCtx &ctx, uint32_t bi0, uint32_t bj0, uint32_t bk0,
 {
     const MatmulParams &p = *ctx.p;
     if (s == 1) {
-        std::vector<sim::MemAccess> acc = blockAccess(ctx, ctx.a, bi0, bk0);
-        auto bacc = blockAccess(ctx, ctx.bm, bk0, bj0);
-        auto cacc = blockAccess(ctx, ctx.c, bi0, bj0);
-        acc.insert(acc.end(), bacc.begin(), bacc.end());
-        acc.insert(acc.end(), cacc.begin(), cacc.end());
         const double bb = static_cast<double>(p.block);
         const double penalty =
             p.zLayout ? 1.0 : kMatmulRowMajorPenalty;
-        ctx.b.strand(kMatmulCyclesPerMadd * penalty * bb * bb * bb, acc);
+        ctx.b.strand(kMatmulCyclesPerMadd * penalty * bb * bb * bb,
+                     {blockAccess(ctx, ctx.a, bi0, bk0),
+                      blockAccess(ctx, ctx.bm, bk0, bj0),
+                      blockAccess(ctx, ctx.c, bi0, bj0)});
         return;
     }
     const uint32_t h = s / 2;

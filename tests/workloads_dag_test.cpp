@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "sim/memory.h"
 #include "sim/scheduler.h"
 #include "workloads/workloads.h"
 
@@ -134,6 +137,44 @@ TEST(MatmulDag, ZLayoutReducesAccessCount)
     // Fewer cache granule touches -> lower serial time (the paper's
     // matmul 190s -> matmul-z 73s effect, directionally).
     EXPECT_LT(r_z.elapsedSeconds, r_row.elapsedSeconds);
+}
+
+TEST(MatmulDag, RowMajorLeafChargesOneBlockPerMatrix)
+{
+    MatmulParams p;
+    p.n = 128;
+    p.block = 32;
+    const auto dag = matmulDag(p, 4, Placement::Interleaved, false);
+    const uint64_t block_bytes = uint64_t{p.block} * p.block * 8;
+    const Machine m = Machine::paperMachine();
+    std::size_t leaves = 0;
+    for (std::size_t f = 0; f < dag.numFrames(); ++f) {
+        const sim::Frame &fr = dag.frame(static_cast<sim::FrameId>(f));
+        for (uint32_t i = fr.itemBegin; i < fr.itemEnd; ++i) {
+            const sim::Item &item = dag.item(i);
+            if (item.kind != sim::ItemKind::Strand)
+                continue;
+            ++leaves;
+            // One strided access per matrix: A, B, then C.
+            ASSERT_EQ(item.accessEnd - item.accessBegin, 3u);
+            std::string names;
+            for (uint32_t a = item.accessBegin; a < item.accessEnd; ++a) {
+                const sim::MemAccess &acc = dag.access(a);
+                names += dag.region(fr.region(acc)).name;
+                EXPECT_EQ(acc.rows, p.block);
+                EXPECT_EQ(acc.stride, uint64_t{p.n} * 8);
+                EXPECT_EQ(acc.rows * acc.bytes, block_bytes);
+            }
+            EXPECT_EQ(names, "ABC");
+            // And the memory model charges exactly those lines.
+            sim::SimMemory mem(m, dag);
+            sim::MemCounters counters;
+            mem.cost(0, fr, item, counters);
+            EXPECT_EQ(counters.totalLines(), 3 * block_bytes / 64);
+        }
+    }
+    const std::size_t blocks = p.n / p.block;
+    EXPECT_EQ(leaves, blocks * blocks * blocks);
 }
 
 TEST(FibDag, MatchesClosedFormCounts)
