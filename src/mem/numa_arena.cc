@@ -1,11 +1,22 @@
 #include "mem/numa_arena.h"
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <map>
 #include <mutex>
 
 #include "support/panic.h"
+
+#if defined(NUMAWS_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
+
+// Linux 5.14; older headers lack it, older kernels reject it (EINVAL).
+#ifndef MADV_POPULATE_WRITE
+#define MADV_POPULATE_WRITE 23
+#endif
 
 namespace numaws {
 
@@ -37,6 +48,38 @@ takeInjectedFailure()
     return false;
 }
 
+/** Anonymous, pre-faulted mapping of @p rounded bytes; nullptr when the
+ * kernel refuses. The host heap's blocks carry ASan redzones and a raw
+ * mapping has none, so under ASan the slack past the @p bytes asked for
+ * is poisoned: an overrun of a big block still reports. */
+void *
+mapBlock(std::size_t bytes, std::size_t rounded)
+{
+    void *p = mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        return nullptr;
+    // One call faults every page in; where the kernel lacks it, pages
+    // fault lazily on first write instead.
+    (void)madvise(p, rounded, MADV_POPULATE_WRITE);
+#if defined(NUMAWS_ASAN)
+    ASAN_POISON_MEMORY_REGION(static_cast<char *>(p) + bytes,
+                              rounded - bytes);
+#else
+    (void)bytes;
+#endif
+    return p;
+}
+
+void
+unmapBlock(void *p, std::size_t rounded)
+{
+#if defined(NUMAWS_ASAN)
+    ASAN_UNPOISON_MEMORY_REGION(p, rounded);
+#endif
+    munmap(p, rounded);
+}
+
 } // namespace
 
 void
@@ -48,11 +91,12 @@ NumaArena::failNextCarvesForTesting(int n)
 void *
 NumaArena::allocRaw(std::size_t bytes)
 {
-    // carveSlab is the one raw page-allocation path; registration-
-    // tracked blocks add the size bookkeeping free() relies on.
-    const std::size_t rounded =
-        (bytes + kPageBytes - 1) / kPageBytes * kPageBytes;
-    void *p = carveSlab(rounded);
+    const std::size_t rounded = roundToPages(bytes);
+    void *p = nullptr;
+    if (!mapsFresh(bytes))
+        p = carveSlab(rounded);
+    else if (!takeInjectedFailure())
+        p = mapBlock(bytes, rounded);
     if (p == nullptr)
         return nullptr;
     {
@@ -120,8 +164,7 @@ NumaArena::carveSlab(std::size_t bytes)
     NUMAWS_ASSERT(bytes > 0);
     if (takeInjectedFailure())
         return nullptr;
-    const std::size_t rounded =
-        (bytes + kPageBytes - 1) / kPageBytes * kPageBytes;
+    const std::size_t rounded = roundToPages(bytes);
     // nullptr, not fatal: slab memory is an optimization (NUMA-homed
     // pooling), so exhaustion degrades to the callers' plain-heap
     // paths instead of killing a serving runtime.
@@ -154,7 +197,10 @@ NumaArena::free(void *ptr)
         allocSizes().erase(it);
     }
     _pageMap.unregisterRange(reinterpret_cast<uint64_t>(ptr), bytes);
-    std::free(ptr);
+    if (mapsFresh(bytes))
+        unmapBlock(ptr, bytes);
+    else
+        std::free(ptr);
 }
 
 } // namespace numaws

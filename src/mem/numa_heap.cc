@@ -124,6 +124,42 @@ stampHeader(DataBlockHeader *h, uint32_t cls, NumaArena *arena)
     h->state = NumaHeap::kBlockLive;
 }
 
+/**
+ * Payload of an arena block of @p bytes under a stamped header; a failed
+ * carve (@p base == nullptr) degrades to a plain block. With @p zero the
+ * payload reads zero: a mapped block is fresh from the kernel, any other
+ * is cleared here.
+ */
+void *
+arenaPayload(NumaArena &arena, void *base, std::size_t bytes, bool zero)
+{
+    void *p = nullptr;
+    if (base == nullptr) {
+        p = allocatePlain(bytes); // graceful carve failure
+    } else {
+        auto *h = static_cast<DataBlockHeader *>(base);
+        stampHeader(h, NumaHeap::kClassArena, &arena);
+        p = NumaHeap::payloadOf(h);
+        zero &= !NumaArena::mapsFresh(NumaHeap::kHeaderBytes + bytes);
+    }
+    if (zero)
+        std::memset(p, 0, bytes);
+    return p;
+}
+
+void *
+onSocket(NumaArena &arena, std::size_t bytes, int socket, bool zero)
+{
+    const int sockets = arena.pageMap().numSockets();
+    if (socket < 0)
+        socket = 0;
+    if (socket >= sockets)
+        socket = sockets - 1;
+    void *base =
+        arena.allocOnSocket(NumaHeap::kHeaderBytes + bytes, socket);
+    return arenaPayload(arena, base, bytes, zero);
+}
+
 } // namespace
 
 void
@@ -178,18 +214,7 @@ allocatePlain(std::size_t bytes)
 void *
 allocateOn(NumaArena &arena, std::size_t bytes, int socket)
 {
-    const int sockets = arena.pageMap().numSockets();
-    if (socket < 0)
-        socket = 0;
-    if (socket >= sockets)
-        socket = sockets - 1;
-    void *base =
-        arena.allocOnSocket(NumaHeap::kHeaderBytes + bytes, socket);
-    if (base == nullptr)
-        return allocatePlain(bytes); // graceful carve failure
-    stampHeader(static_cast<DataBlockHeader *>(base),
-                NumaHeap::kClassArena, &arena);
-    return NumaHeap::payloadOf(static_cast<DataBlockHeader *>(base));
+    return onSocket(arena, bytes, socket, /*zero=*/true);
 }
 
 void *
@@ -197,11 +222,7 @@ allocatePartitioned(NumaArena &arena, std::size_t bytes, int chunks)
 {
     void *base =
         arena.allocPartitioned(NumaHeap::kHeaderBytes + bytes, chunks);
-    if (base == nullptr)
-        return allocatePlain(bytes); // graceful carve failure
-    stampHeader(static_cast<DataBlockHeader *>(base),
-                NumaHeap::kClassArena, &arena);
-    return NumaHeap::payloadOf(static_cast<DataBlockHeader *>(base));
+    return arenaPayload(arena, base, bytes, /*zero=*/true);
 }
 
 void *
@@ -223,7 +244,7 @@ allocate(std::size_t bytes, Place place)
     const int socket = isConcretePlace(place)
                            ? place
                            : (isConcretePlace(b.place) ? b.place : 0);
-    return allocateOn(*b.arena, bytes, socket);
+    return onSocket(*b.arena, bytes, socket, /*zero=*/false);
 }
 
 void

@@ -334,11 +334,14 @@ void clearAmbient(const void *owner);
 void *allocate(std::size_t bytes, Place place = kAnyPlace);
 
 /** Registered big-block path from an explicit arena (PartedVec shards,
- * workload buffers — unambiguous when several runtimes exist). */
+ * workload buffers — unambiguous when several runtimes exist). The
+ * payload reads zero, whichever path served it: a mapped block comes
+ * zeroed from the kernel, a carved or plain-fallback one is cleared. */
 void *allocateOn(NumaArena &arena, std::size_t bytes, int socket);
 
 /** Registered block with pages split across sockets in contiguous
- * chunks (NumaArena::allocPartitioned under a data-plane header). */
+ * chunks (NumaArena::allocPartitioned under a data-plane header); the
+ * payload reads zero like allocateOn's. */
 void *allocatePartitioned(NumaArena &arena, std::size_t bytes, int chunks);
 
 /** Plain-heap path with a data-plane header (DataHeapPolicy::Heap). */

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "mem/numa_heap.h"
@@ -29,6 +30,10 @@ namespace numaws {
  * length to keep rows intact), so `ptr(i)` stays valid through the end
  * of i's granule run — but NOT across shard boundaries: shards are
  * separate allocations. Element homes: shard s lives on socket s.
+ *
+ * Elements start value-initialised. Pooled shards of arithmetic or
+ * pointer type are not re-zeroed: `numa::allocateOn` hands them out
+ * zero-filled, and a big one comes pre-faulted from the kernel.
  *
  * Under `DataHeapPolicy::Heap` the shards come from the plain process
  * heap, unregistered — sharding math is identical, placement is not
@@ -63,7 +68,8 @@ class PartedVec
                                               static_cast<int>(s))
                            : numa::allocatePlain(count * sizeof(T));
                 shard.data = static_cast<T *>(raw);
-                std::uninitialized_value_construct_n(shard.data, count);
+                if (!(pooled && kZeroIsValueInit))
+                    std::uninitialized_value_construct_n(shard.data, count);
             }
             _shards.push_back(shard);
         }
@@ -148,6 +154,11 @@ class PartedVec
     }
 
   private:
+    /** Value-initialising these types writes all-zero bytes, which a
+     * pooled shard already holds (numa::allocateOn's contract). */
+    static constexpr bool kZeroIsValueInit =
+        std::is_arithmetic_v<T> || std::is_pointer_v<T>;
+
     struct Shard
     {
         T *data = nullptr;

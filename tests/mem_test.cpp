@@ -1,12 +1,14 @@
 /**
  * @file
  * Memory substrate tests: page map interval semantics, the NUMA arena's
- * placement policies, LLC hit/miss behaviour, and latency ordering
- * (local LLC < local DRAM < remote DRAM, growing with hops).
+ * placement policies and big-block mapping, the zero guarantee of
+ * PartedVec shards, LLC hit/miss behaviour, and latency ordering (local
+ * LLC < local DRAM < remote DRAM, growing with hops).
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 
 #include "mem/latency_model.h"
@@ -120,6 +122,42 @@ TEST(NumaArena, CarveSlabOnSocketRegistersHomes)
     EXPECT_EQ(pm.homeOf(base), 0);
 }
 
+TEST(NumaArena, BigBlocksAreMappedRegisteredAndReleased)
+{
+    PageMap pm(4);
+    NumaArena arena(pm);
+    const std::size_t bytes = NumaArena::kMapThresholdBytes + 100;
+    ASSERT_TRUE(NumaArena::mapsFresh(bytes));
+    ASSERT_FALSE(NumaArena::mapsFresh(NumaArena::kMapThresholdBytes
+                                      - kPageBytes));
+    const std::size_t before = pm.rangeCount();
+
+    void *p = arena.allocOnSocket(bytes, 2);
+    ASSERT_NE(p, nullptr);
+    const auto base = reinterpret_cast<uint64_t>(p);
+    EXPECT_EQ(base % kPageBytes, 0u);
+    EXPECT_EQ(pm.registeredHomeOf(base), 2);
+    EXPECT_EQ(pm.registeredHomeOf(base + bytes - 1), 2);
+    // Fresh from the kernel: zero, first to last byte.
+    const auto *c = static_cast<const unsigned char *>(p);
+    EXPECT_EQ(c[0], 0);
+    EXPECT_EQ(c[bytes / 2], 0);
+    EXPECT_EQ(c[bytes - 1], 0);
+    std::memset(p, 0xab, bytes);
+    arena.free(p);
+    EXPECT_EQ(pm.rangeCount(), before);
+
+    void *q = arena.allocPartitioned(4 * bytes, 4);
+    ASSERT_NE(q, nullptr);
+    const auto qbase = reinterpret_cast<uint64_t>(q);
+    EXPECT_EQ(qbase % kPageBytes, 0u);
+    EXPECT_EQ(pm.rangeCount(), before + 4);
+    EXPECT_EQ(pm.registeredHomeOf(qbase), 0);
+    EXPECT_EQ(pm.registeredHomeOf(qbase + 4 * bytes - 1), 3);
+    arena.free(q);
+    EXPECT_EQ(pm.rangeCount(), before);
+}
+
 TEST(PageMap, RegisteredHomeOfDistinguishesUnknownAddresses)
 {
     PageMap pm(4);
@@ -195,6 +233,73 @@ TEST(PartedVec, ElementAccessIsCoherentAcrossViews)
     for (std::size_t i = 0; i < z.size(); ++i)
         EXPECT_EQ(z[i], 0);
 }
+
+/** Elements in one shard of exactly kMapThresholdBytes: the shard
+ * (header included) takes the arena's mapped path. */
+constexpr std::size_t kBigShard =
+    NumaArena::kMapThresholdBytes / sizeof(double);
+
+bool
+allZero(const PartedVec<double> &v)
+{
+    for (int s = 0; s < v.numShards(); ++s) {
+        const double *d = v.shardData(s);
+        for (std::size_t i = 0; i < v.shardSize(s); ++i)
+            if (d[i] != 0.0 || std::signbit(d[i]))
+                return false;
+    }
+    return true;
+}
+
+TEST(PartedVec, BigShardsReadZero)
+{
+    Runtime rt(partedOptions(2));
+    PartedVec<double> v(rt, 2 * kBigShard);
+    ASSERT_EQ(v.shardSize(0), kBigShard);
+    ASSERT_TRUE(NumaArena::mapsFresh(NumaHeap::kHeaderBytes
+                                     + kBigShard * sizeof(double)));
+    EXPECT_TRUE(allZero(v));
+}
+
+TEST(PartedVec, CarveFailureFallbackShardReadsZero)
+{
+    Runtime rt(partedOptions(2));
+    // Leave dirty free memory in the host heap where the fallback shard
+    // will land, so a shard that skipped its clear could not read zero by
+    // luck. The first free lifts glibc's mmap threshold above this size;
+    // the dirty block is twice the shard, so the shard's aligned request
+    // fits in the freed chunk.
+    const std::size_t bytes = 2 * kBigShard * sizeof(double);
+    numa::deallocate(numa::allocatePlain(bytes));
+    void *dirty = numa::allocatePlain(bytes);
+    std::memset(dirty, 0xff, bytes);
+    numa::deallocate(dirty);
+    NumaArena::failNextCarvesForTesting(1);
+    PartedVec<double> v(rt, 2 * kBigShard);
+    NumaArena::failNextCarvesForTesting(0);
+    // Shard 0's carve failed: it is a plain block, shard 1 is mapped.
+    EXPECT_EQ(NumaHeap::headerOf(v.shardData(0))->sizeClass,
+              NumaHeap::kClassPlain);
+    EXPECT_EQ(NumaHeap::headerOf(v.shardData(1))->sizeClass,
+              NumaHeap::kClassArena);
+    EXPECT_TRUE(allZero(v));
+}
+
+#if defined(NUMAWS_ASAN)
+TEST(PartedVecDeathTest, WritePastBigShardReports)
+{
+    // Mapped blocks have no allocator redzones; the poisoned slack past
+    // the requested end stands in for them.
+    EXPECT_DEATH(
+        {
+            Runtime rt(partedOptions(2));
+            PartedVec<double> v(rt, 2 * kBigShard);
+            volatile double *d = v.shardData(0);
+            d[v.shardSize(0)] = 1.0;
+        },
+        "AddressSanitizer");
+}
+#endif
 
 TEST(PartedVec, ForEachShardVisitsEveryElementOnce)
 {

@@ -3,13 +3,16 @@
  * NUMA data-plane heap tests: size-class selection, local recycling,
  * PageMap registration of carved slabs, the cross-thread remote-free
  * stack under stress (the ASan job runs this), the arena big-object
- * fallback, routing through numa::allocate/deallocate on a live
- * runtime, teardown with blocks parked on remote stacks, the
- * DataHeapPolicy::Heap bypass, and the double-free panic.
+ * fallback and its zeroed plain-heap degradation, routing through
+ * numa::allocate/deallocate on a live runtime, teardown with blocks
+ * parked on remote stacks, the DataHeapPolicy::Heap bypass, and the
+ * double-free panic.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -185,6 +188,32 @@ TEST(NumaHeapRuntime, BigObjectsFallThroughToTheRegisteredArena)
     EXPECT_EQ(rt.stats().counters.dataBytesPooled, 0u);
     numa::deallocate(p);
     EXPECT_EQ(rt.dataPageMap().rangeCount(), before);
+}
+
+TEST(NumaHeapRuntime, BigAllocateOnFallsBackToAZeroedPlainBlock)
+{
+    Runtime rt(dataOptions(1));
+    const std::size_t bytes = NumaArena::kMapThresholdBytes;
+    void *mapped = numa::allocateOn(rt.arena(), bytes, 0);
+    ASSERT_NE(mapped, nullptr);
+    EXPECT_EQ(NumaHeap::headerOf(mapped)->sizeClass, NumaHeap::kClassArena);
+    EXPECT_EQ(reinterpret_cast<uint64_t>(NumaHeap::headerOf(mapped))
+                  % kPageBytes,
+              0u);
+    numa::deallocate(mapped);
+
+    // A failed carve degrades to a plain block instead of aborting, and
+    // the block still reads zero.
+    const std::size_t before = rt.dataPageMap().rangeCount();
+    NumaArena::failNextCarvesForTesting(1);
+    void *p = numa::allocateOn(rt.arena(), bytes, 0);
+    NumaArena::failNextCarvesForTesting(0);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(NumaHeap::headerOf(p)->sizeClass, NumaHeap::kClassPlain);
+    EXPECT_EQ(rt.dataPageMap().rangeCount(), before);
+    const auto *c = static_cast<const unsigned char *>(p);
+    EXPECT_EQ(std::count(c, c + bytes, 0), static_cast<std::ptrdiff_t>(bytes));
+    numa::deallocate(p);
 }
 
 TEST(NumaHeapRuntime, NonWorkerThreadsUseTheAmbientArena)

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
 
@@ -78,6 +79,21 @@ TEST(Cilksort, ParallelMatchesSerial)
     }
 }
 
+TEST(Cilksort, BuffersMatchSerial)
+{
+    CilksortParams p;
+    p.n = 1 << 18;
+    p.sortBase = 1 << 12;
+    p.mergeBase = 1 << 12;
+    auto expect = randomInts(p.n, 6);
+    CilksortBuffers buf(testRuntime(), p.n);
+    std::copy(expect.begin(), expect.end(), buf.data);
+    std::vector<int64_t> tmp(expect.size());
+    cilksortSerial(expect.data(), p.n, tmp.data(), p);
+    cilksortParallel(testRuntime(), buf, p, /*hints=*/true);
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(), buf.data));
+}
+
 TEST(Cilksort, TinyAndDegenerateInputs)
 {
     CilksortParams p;
@@ -116,6 +132,46 @@ TEST(Heat, ParallelMatchesSerial)
     for (std::size_t i = 0; i < cells; ++i) {
         EXPECT_DOUBLE_EQ(a1[i], a2[i]) << i;
         EXPECT_DOUBLE_EQ(b1[i], b2[i]) << i;
+    }
+}
+
+TEST(Heat, PartedMatchesSerialBitForBit)
+{
+    // 512 rows of 1024 doubles per shard: 4 MiB, so both grids take the
+    // arena's mapped path, and the parted b grid must read zero like the
+    // serial one.
+    HeatParams p;
+    p.nx = 1024;
+    p.ny = 1024;
+    p.steps = 3;
+    p.baseRows = 64;
+    const std::size_t cells =
+        static_cast<std::size_t>(p.nx) * static_cast<std::size_t>(p.ny);
+    std::vector<double> a(cells), b(cells, 0.0);
+    Rng rng(5);
+    for (auto &x : a)
+        x = rng.nextDouble();
+    Runtime &rt = testRuntime();
+    PartedVec<double> pa(rt, cells, static_cast<std::size_t>(p.ny));
+    PartedVec<double> pb(rt, cells, static_cast<std::size_t>(p.ny));
+    ASSERT_EQ(pa.numShards(), 2);
+    for (int s = 0; s < pa.numShards(); ++s)
+        std::copy_n(a.data() + pa.shardBegin(s), pa.shardSize(s),
+                    pa.shardData(s));
+
+    heatSerial(a.data(), b.data(), p);
+    heatParallel(rt, pa, pb, p);
+
+    for (int s = 0; s < pa.numShards(); ++s) {
+        const std::size_t bytes = pa.shardSize(s) * sizeof(double);
+        EXPECT_EQ(std::memcmp(pa.shardData(s), a.data() + pa.shardBegin(s),
+                              bytes),
+                  0)
+            << "a, shard " << s;
+        EXPECT_EQ(std::memcmp(pb.shardData(s), b.data() + pb.shardBegin(s),
+                              bytes),
+                  0)
+            << "b, shard " << s;
     }
 }
 
