@@ -1,8 +1,8 @@
 /**
  * @file
- * Victim-policy ablation grid: {flat, occupancy+affinity} on the two
- * workloads that pulled PR 1's hierarchical search in
- * opposite directions.
+ * Victim-policy ablation grid: {flat, occupancy+affinity,
+ * occupancy+affinity+half} on the two workloads that pulled PR 1's
+ * hierarchical search in opposite directions.
  *
  * PR 1 recorded the tension this grid measures: the blind distance
  * ladder cut matmul-layout steal probes ~16% but cost ~+30% simulated
@@ -10,7 +10,9 @@
  * the ladder kept probing drained local deques. The informed policy
  * consults the OccupancyBoard and the thief's data-region homes, so the
  * ladder skips provably-dry levels and lands on the mailbox-fed sockets
- * directly.
+ * directly. The third row adds remote steal-half batching on top of
+ * the informed ladder: the full steal-side extension set
+ * (SimConfig::adaptiveNumaWs's knobs).
  *
  *   ./ablation_victim_policy [--scale=0.25] [--cores=32] [--seeds=5]
  *                            [--seed=first] [--threads=2]
@@ -28,7 +30,10 @@
  *  1. heat: occupancy+affinity <= flat-search simulated time
  *     (the PR 1 regression is erased),
  *  2. matmul_layout: occupancy+affinity steal probes stay >= 10% below
- *     flat search (the PR 1 win is kept).
+ *     flat search (the PR 1 win is kept),
+ *  3. matmul_layout: occupancy+affinity+half <= flat-search simulated
+ *     time (the full extension set does not lose on the paper's
+ *     locality showcase).
  */
 #include <algorithm>
 #include <cstdio>
@@ -48,13 +53,22 @@ struct PolicyRow
 {
     const char *name; ///< JSON "policy" field
     bool hierarchical;
+    bool stealHalf;
 };
 
 // Flat search is the blind baseline; hierarchical steals are the
-// informed (occupancy+affinity) ladder.
-const PolicyRow kRows[] = {
-    {"flat", false},
-    {"occupancy+affinity", true},
+// informed (occupancy+affinity) ladder; "+half" adds remote steal-half.
+enum RowIndex
+{
+    kFlat,
+    kInformed,
+    kInformedHalf,
+    kNumRows
+};
+const PolicyRow kRows[kNumRows] = {
+    {"flat", false, false},
+    {"occupancy+affinity", true, false},
+    {"occupancy+affinity+half", true, true},
 };
 
 struct Measured
@@ -68,6 +82,7 @@ configOf(const PolicyRow &row, uint64_t seed)
 {
     sim::SimConfig c = sim::SimConfig::numaWs();
     c.sched.hierarchicalSteals = row.hierarchical;
+    c.sched.remoteStealHalf = row.stealHalf;
     c.seed = seed;
     return c;
 }
@@ -83,6 +98,7 @@ threadedRows(JsonReport &report, double scale, int workers)
         o.numWorkers = workers;
         o.numPlaces = workers >= 4 ? 4 : (workers >= 2 ? 2 : 1);
         o.sched.hierarchicalSteals = row.hierarchical;
+        o.sched.remoteStealHalf = row.stealHalf;
         Runtime rt(o);
 
         const double seconds = runThreadedFibHeat(rt, scale);
@@ -159,7 +175,7 @@ main(int argc, char **argv)
     };
 
     JsonReport report;
-    Measured flat[2], informed[2]; // per case
+    Measured means[2][kNumRows]; // per case, per policy row
     for (std::size_t ci = 0; ci < 2 && !skip_sim; ++ci) {
         const Case &sc = cases[ci];
         if (!args.only.empty() && args.only != sc.name)
@@ -168,8 +184,9 @@ main(int argc, char **argv)
                     sc.name.c_str(), args.cores, num_seeds);
         Table t({"policy", "T(mean)", "idle", "attempts", "steals",
                  "skips", "remote%"});
-        for (const PolicyRow &row : kRows) {
-            Measured mean;
+        for (int ri = 0; ri < kNumRows; ++ri) {
+            const PolicyRow &row = kRows[ri];
+            Measured &mean = means[ci][ri];
             double idle = 0.0, remote = 0.0;
             uint64_t steals = 0, skips = 0;
             for (int s = 0; s < num_seeds; ++s) {
@@ -211,11 +228,6 @@ main(int argc, char **argv)
                       std::to_string(skips
                                      / static_cast<uint64_t>(num_seeds)),
                       Table::fmtRatio(remote)});
-
-            if (std::string(row.name) == "flat")
-                flat[ci] = mean;
-            else if (std::string(row.name) == "occupancy+affinity")
-                informed[ci] = mean;
         }
         t.print();
     }
@@ -236,12 +248,19 @@ main(int argc, char **argv)
     // 0.5% tolerance for cost-model noise; the probe gate is absolute.
     bool ok = true;
     std::printf("\n");
+    const Measured *heat_m = means[0];
+    const Measured *matmul_m = means[1];
     ok &= gateMax("heat occ+affinity / flat elapsed",
-                  informed[0].elapsed / flat[0].elapsed, 1.005);
+                  heat_m[kInformed].elapsed / heat_m[kFlat].elapsed,
+                  1.005);
     ok &= gateMax("matmul occ+affinity / flat steal probes",
-                  static_cast<double>(informed[1].attempts)
-                      / static_cast<double>(flat[1].attempts),
+                  static_cast<double>(matmul_m[kInformed].attempts)
+                      / static_cast<double>(matmul_m[kFlat].attempts),
                   0.90);
+    ok &= gateMax("matmul_layout occ+affinity+half / flat elapsed",
+                  matmul_m[kInformedHalf].elapsed
+                      / matmul_m[kFlat].elapsed,
+                  1.005);
     if (!ok) {
         std::printf("FAIL: victim-policy acceptance gate violated\n");
         return 1;

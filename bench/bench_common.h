@@ -356,7 +356,7 @@ gitRevision()
 
 /**
  * Collects JsonRow objects and writes them as one JSON array, the format
- * CI archives as a build artifact (e.g. BENCH_adaptive.json).
+ * CI archives as a build artifact (e.g. BENCH_victim_policy.json).
  *
  * Every row is stamped with provenance on insertion — host core count
  * and git sha — so a JSON file pulled from an artifact store months

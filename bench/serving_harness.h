@@ -312,8 +312,9 @@ makeSimJobs(const SimMix &mix, double util, int cores, double ghz,
     return jobs;
 }
 
-/** The serving benches' simulated engine: every adaptive extension,
- * quick parking (when @p parking models it), seeded. */
+/** The serving benches' simulated engine: the steal-side extensions
+ * (SimConfig::adaptiveNumaWs), quick parking (when @p parking models
+ * it), seeded. */
 inline sim::SimConfig
 servingSimConfig(bool parking, uint64_t seed)
 {

@@ -251,21 +251,17 @@ Worker::pushBack(TaskBase *task)
     const auto [first, last] = _runtime.workersOfPlace(target);
     if (first >= last)
         return false;
-    // The core sees our own deque depth (pressure widens the cap) and
-    // every rejection below (congestion tightens it). Reading the live
-    // threshold each iteration keeps the loop bounded either way: the
-    // frame's lifetime push count only grows, the cap only shrinks under
-    // rejection, and a cap at or below the count exits to the give-up
-    // path, where load balance wins over locality.
-    _core.beginPushback(static_cast<int64_t>(_deque.size()));
-    while (task->pushCount()
-           < static_cast<uint32_t>(_core.pushThreshold())) {
+    // The frame's lifetime push count only grows, so the constant cap
+    // bounds the loop; at the cap the frame takes the give-up path,
+    // where load balance wins over locality.
+    const auto threshold =
+        static_cast<uint32_t>(_core.policy().pushThreshold);
+    while (task->pushCount() < threshold) {
         ++_counters.pushbackAttempts;
         const int receiver =
             _core.pickPushReceiver(first, last, /*self=*/-1, target);
         if (_runtime.worker(receiver).mailbox().tryPut(task)) {
             ++_counters.pushbackSuccesses;
-            _core.onPushResult(true);
             // Under board parking, tryPut already woke the receiver's
             // socket on the deposit's occupancy edge
             // (Mailbox::attachParking); the timer protocol notifies
@@ -274,7 +270,6 @@ Worker::pushBack(TaskBase *task)
                 _runtime.notifyWork();
             return true;
         }
-        _core.onPushResult(false);
         task->incPushCount();
     }
     ++_counters.pushbackGiveUps;

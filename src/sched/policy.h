@@ -23,7 +23,6 @@
 
 #include <cstdint>
 
-#include "sched/push_policy.h"
 #include "topology/steal_distribution.h"
 
 namespace numaws {
@@ -240,7 +239,7 @@ struct ServingPolicy
 /**
  * Scheduling-policy knobs shared verbatim by the threaded runtime and
  * the simulator. Mirrors the paper's mechanisms one-for-one plus the
- * adaptive extensions, each independently ablatable.
+ * hierarchical victim-search extensions, each independently ablatable.
  */
 struct SchedPolicy
 {
@@ -254,10 +253,9 @@ struct SchedPolicy
      * requires it); false = always inspect the mailbox first (ablation).
      */
     bool coinFlip = true;
-    /** Constant pushing threshold (Section III-B); adaptive base. */
+    /** Constant pushing threshold (Section III-B): the cap on a frame's
+     * lifetime PUSHBACK attempts. */
     int pushThreshold = 4;
-    /** Pushing-threshold policy (constant reproduces the paper). */
-    PushPolicyConfig pushPolicy{};
     /** Hierarchical level-by-level victim search with escalation. */
     bool hierarchicalSteals = false;
     /** Consecutive failed steals per level before widening the search. */

@@ -101,14 +101,6 @@ StealCore::onStealResult(const StealAction &action, bool got_work)
         ++_counters.escalations;
 }
 
-void
-StealCore::beginPushback(int64_t own_deque_depth)
-{
-    // Pressure signal: a worker with a deep own deque can afford more
-    // placement attempts before running the frame itself.
-    _push.observeDequeDepth(own_deque_depth);
-}
-
 int
 StealCore::pickPreemptVictim(int cls, const int8_t *runningCls, int n)
 {

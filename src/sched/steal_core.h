@@ -5,8 +5,8 @@
  * Everything that *chooses* on the steal path lives here — dry-poll
  * cadence, hierarchical/informed victim sampling, the mailbox-vs-deque
  * coin flip and its informed override, remote steal-half eligibility,
- * escalation bookkeeping, PUSHBACK receiver selection and threshold
- * control, the park-after-N-failures streak, and the EWMA-tuned parking
+ * escalation bookkeeping, PUSHBACK receiver selection, the
+ * park-after-N-failures streak, and the EWMA-tuned parking
  * constants. The threaded runtime (runtime/worker.cc) and the simulator
  * (sim/scheduler.cc) are thin drivers that *execute* the returned
  * actions (probe victim V, poll the board, push to mailbox M, park on
@@ -204,9 +204,9 @@ class AtomicYieldFlag
  * sim/scheduler.cc:
  *  - steal path: a = nextAction(); execute it; onStealResult(a, got).
  *  - publish path: onPublishEdge(socket_edge) says whom to wake.
- *  - PUSHBACK: beginPushback(depth); then per attempt, compare the
- *    frame's push count against pushThreshold(), pick a receiver with
- *    pickPushReceiver(), report onPushResult(accepted).
+ *  - PUSHBACK: per attempt, compare the frame's push count against
+ *    policy().pushThreshold and pick a receiver with
+ *    pickPushReceiver().
  *  - parking: noteFruitless() per fruitless step, noteProgress() when
  *    work was found; takeParkRequest() consumes the park decision;
  *    parkTimeoutUs() is the (tuned) bound; onParkOutcome() feeds the
@@ -226,7 +226,6 @@ class StealCore
           _socket(socket),
           _rng(seed),
           _esc(policy.stealEscalationFailures),
-          _push(policy.pushThreshold, policy.pushPolicy),
           _tuner(policy.parkSpinFailures)
     {}
 
@@ -257,10 +256,6 @@ class StealCore
 
     /** @name PUSHBACK (lazy work pushing) */
     /// @{
-    /** Start an episode; @p own_deque_depth is the pressure signal. */
-    void beginPushback(int64_t own_deque_depth);
-    /** Current cap on a frame's lifetime PUSHBACK attempts. */
-    int pushThreshold() const { return _push.threshold(); }
     /**
      * Receiver for the next attempt among workers [first, last) of
      * @p target_socket: board-guided when the policy says so (sampled
@@ -272,15 +267,6 @@ class StealCore
      */
     int pickPushReceiver(int first, int last, int self_in_range,
                          int target_socket);
-    /** A deposit landed (true) or was rejected (false). */
-    void
-    onPushResult(bool accepted)
-    {
-        if (accepted)
-            _push.onPushSuccess();
-        else
-            _push.onMailboxFull();
-    }
     /// @}
 
     /** @name Parking decisions */
@@ -393,7 +379,6 @@ class StealCore
     const StealCoreCounters &counters() const { return _counters; }
     void resetCounters() { _counters = StealCoreCounters{}; }
     StealEscalation &escalation() { return _esc; }
-    PushPolicy &pushPolicy() { return _push; }
     const ParkTuner &parkTuner() const { return _tuner; }
     Rng &rng() { return _rng; }
     /// @}
@@ -410,7 +395,6 @@ class StealCore
     int _socket = 0;
     Rng _rng{0};
     StealEscalation _esc{};
-    PushPolicy _push{};
     ParkTuner _tuner{};
     /** Sockets homing the data of the last task this worker ran. */
     uint32_t _affinity = 0;

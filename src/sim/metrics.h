@@ -32,7 +32,6 @@ struct SimCounters
     uint64_t mailboxPops = 0;    ///< frames a worker took from its own box
     uint64_t pushAttempts = 0;
     uint64_t pushSuccesses = 0;
-    uint64_t pushGiveUps = 0;
     uint64_t resumes = 0;        ///< suspended-parent resumptions
     uint64_t batchedSteals = 0;  ///< remote steals that moved a batch
     uint64_t batchedFrames = 0;  ///< extra frames moved by those batches

@@ -225,17 +225,14 @@ class Simulation
         const Place target = _dag.frame(cont.frame).place;
         const auto [first, last] = coresOfSocket(target);
         NUMAWS_ASSERT(first < last);
-        // The core picks receivers (board-guided or blind per policy)
-        // and runs the threshold state machine; this driver executes
-        // the deposits and charges their costs. A receiver that is the
-        // pusher itself or has no room burns the attempt, exactly like
-        // the threaded engine's rejected tryPut.
+        // The core picks receivers (board-guided or blind per policy);
+        // this driver executes the deposits and charges their costs. A
+        // receiver that is the pusher itself or has no room burns the
+        // attempt, exactly like the threaded engine's rejected tryPut.
         StealCore &brain = _cores[core].brain;
-        brain.beginPushback(
-            static_cast<int64_t>(_cores[core].deq.size()));
-        bool pushed = false;
-        while (fs.pushCount
-               < static_cast<uint32_t>(brain.pushThreshold())) {
+        const auto threshold =
+            static_cast<uint32_t>(brain.policy().pushThreshold);
+        while (fs.pushCount < threshold) {
             ++_counters.pushAttempts;
             cost += _cfg.pushAttemptCost;
             const int receiver =
@@ -244,16 +241,11 @@ class Simulation
             if (receiver != core && mailboxHasRoom(receiver)) {
                 mailboxDeposit(receiver, cont, core);
                 ++_counters.pushSuccesses;
-                brain.onPushResult(true);
-                pushed = true;
-                break;
+                return true;
             }
-            brain.onPushResult(false);
             ++fs.pushCount;
         }
-        if (!pushed)
-            ++_counters.pushGiveUps;
-        return pushed;
+        return false;
     }
 
     /** One scheduling step for @p core; returns (cost, charge). */

@@ -139,21 +139,20 @@ struct SimConfig
     }
 
     /**
-     * NUMA-WS plus every adaptive extension: hierarchical victim search
-     * with escalation, the congestion-adaptive pushing threshold, and
-     * remote steal-half batching, on the shipped SchedPolicy defaults —
-     * the occupancy+affinity informed ladder (PR 3), the Board
-     * parking/PUSHBACK protocols (PR 4) and EWMA park tuning. Pass
-     * ParkPolicy::Timer / PushTarget::Random explicitly for the blind
-     * wake/receiver baselines; flat search (hierarchicalSteals = false)
-     * is the blind victim-selection baseline.
+     * NUMA-WS plus the steal-side extensions: hierarchical victim
+     * search with escalation (the occupancy+affinity informed ladder)
+     * and remote steal-half batching, on the shipped SchedPolicy
+     * defaults — the Board parking/PUSHBACK protocols and EWMA park
+     * tuning. PUSHBACK keeps the paper's constant pushing threshold.
+     * Pass ParkPolicy::Timer / PushTarget::Random explicitly for the
+     * blind wake/receiver baselines; flat search (hierarchicalSteals =
+     * false) is the blind victim-selection baseline.
      */
     static SimConfig
     adaptiveNumaWs()
     {
         SimConfig c;
         c.sched.hierarchicalSteals = true;
-        c.sched.pushPolicy.kind = PushPolicyKind::Adaptive;
         c.sched.remoteStealHalf = true;
         return c;
     }

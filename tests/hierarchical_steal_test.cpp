@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the adaptive scheduling policies: the pluggable pushing
- * threshold (PushPolicy) and the hierarchical steal escalation as wired
- * into both engines, including the load-balance-first invariant that a
- * starving worker steals against the place hint rather than idling.
+ * Tests for the hierarchical victim search (escalation ladder, informed
+ * occupancy+affinity sampling, remote steal-half) as wired into both
+ * engines, including the load-balance-first invariant that a starving
+ * worker steals against the place hint rather than idling.
  */
 #include <gtest/gtest.h>
 
@@ -15,143 +15,12 @@
 #include "mem/numa_arena.h"
 #include "mem/page_map.h"
 #include "runtime/api.h"
-#include "sched/push_policy.h"
 #include "sim/dag.h"
 #include "sim/scheduler.h"
 #include "workloads/workloads.h"
 
 namespace numaws {
 namespace {
-
-// ---------------------------------------------------------------------
-// PushPolicy unit tests (deterministic, no threads)
-// ---------------------------------------------------------------------
-
-TEST(PushPolicy, ConstantIgnoresEverySignal)
-{
-    PushPolicyConfig cfg;
-    cfg.kind = PushPolicyKind::Constant;
-    PushPolicy p(4, cfg);
-    EXPECT_EQ(p.threshold(), 4);
-    for (int i = 0; i < 10; ++i)
-        p.onMailboxFull();
-    p.observeDequeDepth(1000);
-    p.onPushSuccess();
-    EXPECT_EQ(p.threshold(), 4);
-    EXPECT_EQ(p.kind(), PushPolicyKind::Constant);
-}
-
-TEST(PushPolicy, AdaptiveTightensAfterConsecutiveRejections)
-{
-    PushPolicyConfig cfg;
-    cfg.kind = PushPolicyKind::Adaptive;
-    cfg.minThreshold = 1;
-    cfg.tightenAfterFailures = 2;
-    PushPolicy p(4, cfg);
-    p.onMailboxFull();
-    EXPECT_EQ(p.threshold(), 4); // one rejection is not a streak
-    p.onMailboxFull();
-    EXPECT_EQ(p.threshold(), 3);
-    p.onMailboxFull();
-    p.onMailboxFull();
-    EXPECT_EQ(p.threshold(), 2);
-    p.onMailboxFull();
-    p.onMailboxFull();
-    EXPECT_EQ(p.threshold(), 1);
-    // Clamped at the floor: pushing never becomes unbounded give-up.
-    p.onMailboxFull();
-    p.onMailboxFull();
-    EXPECT_EQ(p.threshold(), 1);
-}
-
-TEST(PushPolicy, SuccessBreaksTheRejectionStreak)
-{
-    PushPolicyConfig cfg;
-    cfg.kind = PushPolicyKind::Adaptive;
-    cfg.tightenAfterFailures = 2;
-    PushPolicy p(4, cfg);
-    p.onMailboxFull();
-    p.onPushSuccess();
-    p.onMailboxFull();
-    // Two rejections separated by a success must not tighten.
-    EXPECT_EQ(p.threshold(), 4);
-}
-
-TEST(PushPolicy, AdaptiveWidensUnderDequePressure)
-{
-    PushPolicyConfig cfg;
-    cfg.kind = PushPolicyKind::Adaptive;
-    cfg.maxThreshold = 6;
-    cfg.dequeHighWatermark = 4;
-    PushPolicy p(4, cfg);
-    p.observeDequeDepth(3);
-    EXPECT_EQ(p.threshold(), 4); // below the watermark: no pressure
-    p.observeDequeDepth(4);
-    EXPECT_EQ(p.threshold(), 5);
-    p.observeDequeDepth(100);
-    EXPECT_EQ(p.threshold(), 6);
-    p.observeDequeDepth(100);
-    EXPECT_EQ(p.threshold(), 6); // clamped at the ceiling
-}
-
-TEST(PushPolicy, CongestionBlocksWidening)
-{
-    PushPolicyConfig cfg;
-    cfg.kind = PushPolicyKind::Adaptive;
-    cfg.dequeHighWatermark = 4;
-    cfg.tightenAfterFailures = 2;
-    PushPolicy p(4, cfg);
-    p.onMailboxFull(); // open rejection streak
-    p.observeDequeDepth(100);
-    // Pressure must not fight an active congestion signal.
-    EXPECT_EQ(p.threshold(), 4);
-}
-
-TEST(PushPolicy, SuccessRelaxesTowardTheBase)
-{
-    PushPolicyConfig cfg;
-    cfg.kind = PushPolicyKind::Adaptive;
-    cfg.tightenAfterFailures = 1;
-    cfg.dequeHighWatermark = 1;
-    cfg.maxThreshold = 8;
-    PushPolicy p(4, cfg);
-    p.onMailboxFull();
-    p.onMailboxFull();
-    EXPECT_EQ(p.threshold(), 2);
-    p.onPushSuccess();
-    p.onPushSuccess();
-    EXPECT_EQ(p.threshold(), 4); // back up to base...
-    p.onPushSuccess();
-    EXPECT_EQ(p.threshold(), 4); // ...and not past it
-    p.observeDequeDepth(10);
-    p.observeDequeDepth(10);
-    EXPECT_EQ(p.threshold(), 6);
-    p.onPushSuccess();
-    EXPECT_EQ(p.threshold(), 5); // widened threshold relaxes down too
-}
-
-TEST(PushPolicy, ResetRestoresTheStartingState)
-{
-    PushPolicyConfig cfg;
-    cfg.kind = PushPolicyKind::Adaptive;
-    cfg.tightenAfterFailures = 1;
-    PushPolicy p(4, cfg);
-    p.onMailboxFull();
-    p.onMailboxFull();
-    EXPECT_NE(p.threshold(), 4);
-    p.reset();
-    EXPECT_EQ(p.threshold(), 4);
-}
-
-TEST(PushPolicy, DescribeNamesTheKind)
-{
-    PushPolicyConfig cfg;
-    PushPolicy constant(4, cfg);
-    EXPECT_NE(constant.describe().find("constant"), std::string::npos);
-    cfg.kind = PushPolicyKind::Adaptive;
-    PushPolicy adaptive(4, cfg);
-    EXPECT_NE(adaptive.describe().find("adaptive"), std::string::npos);
-}
 
 // ---------------------------------------------------------------------
 // Simulator: the starving-worker invariant
@@ -183,7 +52,7 @@ placeZeroHeavyDag(int mids, int leaves_per_mid, double leaf_cycles)
     return b.finish();
 }
 
-TEST(AdaptiveSim, StarvingWorkersStealAgainstTheHint)
+TEST(HierarchicalSim, StarvingWorkersStealAgainstTheHint)
 {
     const sim::ComputationDag dag = placeZeroHeavyDag(16, 8, 5000.0);
     sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
@@ -201,20 +70,20 @@ TEST(AdaptiveSim, StarvingWorkersStealAgainstTheHint)
     EXPECT_GT(r.counters.pushAttempts, 0u);
 }
 
-TEST(AdaptiveSim, AdaptiveConfigMatchesWorkOfBaseline)
+TEST(HierarchicalSim, ExtensionConfigMatchesWorkOfBaseline)
 {
-    // The adaptive knobs change *where* and *in what order* work runs,
+    // The extension knobs change *where* and *in what order* work runs,
     // never *what* runs: strand count and spawn count are invariant.
     const sim::ComputationDag dag = placeZeroHeavyDag(8, 4, 2000.0);
     sim::SimConfig base = sim::SimConfig::numaWs();
-    sim::SimConfig adaptive = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig ext = sim::SimConfig::adaptiveNumaWs();
     const sim::SimResult rb = sim::simulatePacked(dag, 16, base);
-    const sim::SimResult ra = sim::simulatePacked(dag, 16, adaptive);
+    const sim::SimResult ra = sim::simulatePacked(dag, 16, ext);
     EXPECT_EQ(rb.counters.strandsExecuted, ra.counters.strandsExecuted);
     EXPECT_EQ(rb.counters.spawns, ra.counters.spawns);
 }
 
-TEST(AdaptiveSim, RemoteStealHalfMovesBatches)
+TEST(HierarchicalSim, RemoteStealHalfMovesBatches)
 {
     // fib at depth 20 creates deep deques; on the four-socket machine
     // remote-level victims exist, so batching must fire.
@@ -232,17 +101,16 @@ TEST(AdaptiveSim, RemoteStealHalfMovesBatches)
 }
 
 // ---------------------------------------------------------------------
-// Threaded runtime: adaptive knobs end to end
+// Threaded runtime: hierarchical knobs end to end
 // ---------------------------------------------------------------------
 
-TEST(AdaptiveRuntime, HintedWorkCompletesUnderAdaptiveKnobs)
+TEST(HierarchicalRuntime, HintedWorkCompletesUnderHierarchicalKnobs)
 {
     RuntimeOptions o;
     o.numWorkers = 4;
     o.numPlaces = 2;
     o.sched.hierarchicalSteals = true;
     o.sched.remoteStealHalf = true;
-    o.sched.pushPolicy.kind = PushPolicyKind::Adaptive;
     o.seed = 7;
     Runtime rt(o);
 
@@ -270,28 +138,23 @@ TEST(AdaptiveRuntime, HintedWorkCompletesUnderAdaptiveKnobs)
     EXPECT_GT(sum.load(), 0);
 }
 
-TEST(AdaptiveRuntime, FibMatchesSerialUnderAllKnobCombinations)
+TEST(HierarchicalRuntime, FibMatchesSerialUnderBothSearches)
 {
     const int n = 18;
     const uint64_t expected = workloads::fibSerial(n);
     for (const bool hierarchical : {false, true}) {
-        for (const bool adaptive : {false, true}) {
-            RuntimeOptions o;
-            o.numWorkers = 3;
-            o.numPlaces = 3;
-            o.sched.hierarchicalSteals = hierarchical;
-            o.sched.remoteStealHalf = hierarchical;
-            o.sched.pushPolicy.kind = adaptive ? PushPolicyKind::Adaptive
-                                         : PushPolicyKind::Constant;
-            Runtime rt(o);
-            EXPECT_EQ(workloads::fibParallel(rt, n, 10), expected)
-                << "hierarchical=" << hierarchical
-                << " adaptive=" << adaptive;
-        }
+        RuntimeOptions o;
+        o.numWorkers = 3;
+        o.numPlaces = 3;
+        o.sched.hierarchicalSteals = hierarchical;
+        o.sched.remoteStealHalf = hierarchical;
+        Runtime rt(o);
+        EXPECT_EQ(workloads::fibParallel(rt, n, 10), expected)
+            << "hierarchical=" << hierarchical;
     }
 }
 
-TEST(AdaptiveSim, InformedPolicyMatchesWorkOfFlatSearch)
+TEST(HierarchicalSim, InformedPolicyMatchesWorkOfFlatSearch)
 {
     // Victim selection changes where thieves look, never what executes.
     const sim::ComputationDag dag = placeZeroHeavyDag(8, 4, 2000.0);
@@ -305,7 +168,7 @@ TEST(AdaptiveSim, InformedPolicyMatchesWorkOfFlatSearch)
     EXPECT_EQ(r.counters.spawns, base.counters.spawns);
 }
 
-TEST(AdaptiveSim, InformedPolicySkipsProbesOnHintedWork)
+TEST(HierarchicalSim, InformedPolicySkipsProbesOnHintedWork)
 {
     // Heavily hinted work makes local levels run dry: the board must
     // actually skip levels and replace probes with dry polls.
@@ -325,7 +188,7 @@ TEST(AdaptiveSim, InformedPolicySkipsProbesOnHintedWork)
     EXPECT_EQ(r.counters.strandsExecuted, rb.counters.strandsExecuted);
 }
 
-TEST(AdaptiveRuntime, InformedPolicyComputesCorrectResults)
+TEST(HierarchicalRuntime, InformedPolicyComputesCorrectResults)
 {
     const int n = 18;
     RuntimeOptions o;
@@ -337,7 +200,7 @@ TEST(AdaptiveRuntime, InformedPolicyComputesCorrectResults)
     EXPECT_EQ(workloads::fibParallel(rt, n, 10), workloads::fibSerial(n));
 }
 
-TEST(AdaptiveRuntime, AffinityResolvesDataHomesThroughThePageMap)
+TEST(HierarchicalRuntime, AffinityResolvesDataHomesThroughThePageMap)
 {
     PageMap pm(2);
     NumaArena arena(pm);
@@ -376,7 +239,7 @@ TEST(AdaptiveRuntime, AffinityResolvesDataHomesThroughThePageMap)
     arena.free(block1);
 }
 
-TEST(AdaptiveRuntime, EscalationCountersAdvanceUnderStarvation)
+TEST(HierarchicalRuntime, EscalationCountersAdvanceUnderStarvation)
 {
     // Two workers, almost no work: steal attempts mostly fail, so the
     // hierarchical ladder must widen (the counter proves escalation ran).

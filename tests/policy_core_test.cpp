@@ -178,10 +178,9 @@ replayStep(StealCore &core, MockWorld &world, bool threaded_shape,
         const int sockets = world.board.numSockets();
         const int target = (core.socket() + 1) % sockets;
         const auto [first, last] = world.workersOfSocket(target);
-        core.beginPushback(/*own_deque_depth=*/step % 9);
         uint32_t push_count = 0;
         while (push_count
-               < static_cast<uint32_t>(core.pushThreshold())) {
+               < static_cast<uint32_t>(core.policy().pushThreshold)) {
             const int receiver = core.pickPushReceiver(
                 first, last,
                 threaded_shape ? -1 : core.self(), target);
@@ -190,7 +189,6 @@ replayStep(StealCore &core, MockWorld &world, bool threaded_shape,
                 world.mail[static_cast<std::size_t>(receiver)] == 0;
             trace += " push r" + std::to_string(receiver)
                      + (ok ? "+" : "-");
-            core.onPushResult(ok);
             if (ok) {
                 world.setMail(receiver,
                               world.mail[static_cast<std::size_t>(
@@ -226,7 +224,6 @@ fullPolicy()
 {
     SchedPolicy p;
     p.hierarchicalSteals = true;
-    p.pushPolicy.kind = PushPolicyKind::Adaptive;
     p.remoteStealHalf = true;
     p.parkSpinFailures = 4; // park often: exercise the tuner
     return p;
@@ -311,10 +308,9 @@ TEST(EngineParity, SameSeedSameTraceAcrossRuns)
 
 TEST(ParkTuner, NeutralPriorMatchesConfiguredConstants)
 {
-    // The same shape as the adaptive escalation budget: at the neutral
-    // prior the tuned knobs equal the configured constants, so a fresh
-    // worker runs the SchedPolicy values and diverges only with
-    // evidence.
+    // At the neutral prior the tuned knobs equal the configured
+    // constants, so a fresh worker runs the SchedPolicy values and
+    // diverges only with evidence.
     ParkTuner t(64);
     EXPECT_DOUBLE_EQ(t.dryRate(), 0.5);
     EXPECT_EQ(t.spinBudget(), 64);

@@ -46,23 +46,32 @@ randomDag(uint64_t seed, int max_depth, double min_leaf, double max_leaf)
     return b.finish();
 }
 
-struct BoundsCase
+/** A scheduler configuration the Section IV sweep covers. Every one
+ * caps PUSHBACK at the paper's constant pushing threshold, so the
+ * bounds' proof applies to each. */
+struct SchedCase
 {
-    uint64_t seed;
-    int cores;
+    const char *name;
+    SimConfig (*config)();
+};
+
+const SchedCase kScheds[] = {
+    {"classic", &SimConfig::classicWs},
+    {"numaws", &SimConfig::numaWs},
+    {"hierarchical", &SimConfig::adaptiveNumaWs}, // + steal-half
 };
 
 class SchedulerBounds
-    : public ::testing::TestWithParam<std::tuple<uint64_t, int, bool>>
+    : public ::testing::TestWithParam<
+          std::tuple<uint64_t, int, SchedCase>>
 {
 };
 
 TEST_P(SchedulerBounds, ExecutionTimeWithinGreedyBound)
 {
-    const auto [seed, cores, numa] = GetParam();
+    const auto [seed, cores, sched] = GetParam();
     const ComputationDag dag = randomDag(seed, 7, 200.0, 2000.0);
-    const SimConfig cfg =
-        numa ? SimConfig::numaWs() : SimConfig::classicWs();
+    const SimConfig cfg = sched.config();
     const Machine m = Machine::paperMachine();
 
     // Nominal work/span with the engine's spawn/sync costs included.
@@ -76,7 +85,7 @@ TEST_P(SchedulerBounds, ExecutionTimeWithinGreedyBound)
     // bound-free schedule (which would be ~T1).
     const double c = 40.0;
     EXPECT_LE(r.elapsedCycles, ws.work / cores + c * ws.span)
-        << "P=" << cores << " seed=" << seed << " numa=" << numa;
+        << "P=" << cores << " seed=" << seed << " sched=" << sched.name;
     // And never faster than the trivial lower bounds.
     EXPECT_GE(r.elapsedCycles * 1.0000001, ws.work / cores);
     EXPECT_GE(r.elapsedCycles * 1.0000001, ws.span);
@@ -84,10 +93,9 @@ TEST_P(SchedulerBounds, ExecutionTimeWithinGreedyBound)
 
 TEST_P(SchedulerBounds, StealsBoundedByPTimesSpan)
 {
-    const auto [seed, cores, numa] = GetParam();
+    const auto [seed, cores, sched] = GetParam();
     const ComputationDag dag = randomDag(seed, 7, 200.0, 2000.0);
-    const SimConfig cfg =
-        numa ? SimConfig::numaWs() : SimConfig::classicWs();
+    const SimConfig cfg = sched.config();
     const WorkSpan ws = dag.workSpan(cfg.spawnCost, cfg.syncTrivialCost);
     const SimResult r = simulate(dag, Machine::paperMachine(), cores, cfg);
 
@@ -96,13 +104,14 @@ TEST_P(SchedulerBounds, StealsBoundedByPTimesSpan)
     const double span_nodes = ws.span / 200.0;
     EXPECT_LE(static_cast<double>(r.counters.steals),
               8.0 * cores * span_nodes + 64.0)
-        << "P=" << cores << " seed=" << seed;
+        << "P=" << cores << " seed=" << seed << " sched=" << sched.name;
 }
 
 TEST_P(SchedulerBounds, PushesAmortizeAgainstSteals)
 {
-    const auto [seed, cores, numa] = GetParam();
-    if (!numa)
+    const auto [seed, cores, sched] = GetParam();
+    SimConfig cfg = sched.config();
+    if (!cfg.sched.useMailboxes)
         GTEST_SKIP() << "pushback exists only under NUMA-WS";
     // Hinted dag: alternate subtree hints across places.
     Rng rng(seed);
@@ -124,7 +133,6 @@ TEST_P(SchedulerBounds, PushesAmortizeAgainstSteals)
     b.end();
     const ComputationDag dag = b.finish();
 
-    SimConfig cfg = SimConfig::numaWs();
     cfg.seed = seed;
     const SimResult r = simulate(dag, Machine::paperMachine(), cores, cfg);
 
@@ -136,18 +144,18 @@ TEST_P(SchedulerBounds, PushesAmortizeAgainstSteals)
                                   + r.counters.mailboxSteals)
         + 2.0 * cfg.sched.pushThreshold; // slack for the root frame
     EXPECT_LE(static_cast<double>(r.counters.pushAttempts), limit)
-        << "P=" << cores << " seed=" << seed;
+        << "P=" << cores << " seed=" << seed << " sched=" << sched.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SchedulerBounds,
     ::testing::Combine(::testing::Values(1ULL, 2ULL, 3ULL, 4ULL),
                        ::testing::Values(2, 4, 8, 16, 32),
-                       ::testing::Bool()),
+                       ::testing::ValuesIn(kScheds)),
     [](const auto &info) {
         return "seed" + std::to_string(std::get<0>(info.param)) + "_P"
-               + std::to_string(std::get<1>(info.param))
-               + (std::get<2>(info.param) ? "_numaws" : "_classic");
+               + std::to_string(std::get<1>(info.param)) + "_"
+               + std::get<2>(info.param).name;
     });
 
 /** Hinted random dag, the shape PushesAmortizeAgainstSteals uses. */
