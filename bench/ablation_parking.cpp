@@ -135,7 +135,6 @@ threadedRows(JsonReport &report, double scale, int workers)
         RuntimeOptions o;
         o.numWorkers = workers;
         o.numPlaces = workers >= 4 ? 4 : (workers >= 2 ? 2 : 1);
-        o.sched.hierarchicalSteals = true;
         o.sched.parkPolicy = cell.park;
         o.sched.pushTarget = cell.push;
         Runtime rt(o);

@@ -12,7 +12,10 @@
  * ladder skips provably-dry levels and lands on the mailbox-fed sockets
  * directly. The third row adds remote steal-half batching on top of
  * the informed ladder: the full steal-side extension set
- * (SimConfig::adaptiveNumaWs's knobs).
+ * (SimConfig::adaptiveNumaWs's knobs). A second row group,
+ * shipped-default, runs the configuration that ships (SimConfig{},
+ * whose informed search is on by default) against the same config
+ * with flat search on all nine paper dags.
  *
  *   ./ablation_victim_policy [--scale=0.25] [--cores=32] [--seeds=5]
  *                            [--seed=first] [--threads=2]
@@ -33,9 +36,13 @@
  *     flat search (the PR 1 win is kept),
  *  3. matmul_layout: occupancy+affinity+half <= flat-search simulated
  *     time (the full extension set does not lose on the paper's
- *     locality showcase).
+ *     locality showcase),
+ *  4. shipped-default: the geomean over (dag, seed) cells of
+ *     SimConfig{} / flat-search SimConfig{} simulated time <= 1.00
+ *     (the shipped default is the faster search on the paper dags).
  */
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -85,6 +92,88 @@ configOf(const PolicyRow &row, uint64_t seed)
     c.sched.remoteStealHalf = row.stealHalf;
     c.seed = seed;
     return c;
+}
+
+/** Geomean elapsed ratio of the shipped default over flat search. */
+struct ShippedRatio
+{
+    double logSum = 0.0;
+    int cells = 0;
+    int won = 0; ///< cells where the shipped default is strictly faster
+
+    double geomean() const { return std::exp(logSum / cells); }
+};
+
+JsonRow
+simRow(const std::string &workload, const char *policy, int cores,
+       uint64_t seed, const sim::SimResult &r)
+{
+    JsonRow j;
+    j.set("engine", "sim")
+        .set("workload", workload)
+        .set("policy", policy)
+        .set("escalation", "fixed")
+        .set("cores", cores)
+        .set("seed", seed)
+        .set("elapsed_s", r.elapsedSeconds)
+        .set("work_s", r.workSeconds)
+        .set("sched_s", r.schedSeconds)
+        .set("idle_s", r.idleSeconds)
+        .set("steal_attempts", r.counters.stealAttempts)
+        .set("steals", r.counters.steals)
+        .set("mailbox_steals", r.counters.mailboxSteals)
+        .set("level_skips", r.counters.levelSkips)
+        .set("board_dry_polls", r.counters.boardDryPolls)
+        .set("push_successes", r.counters.pushSuccesses)
+        .set("remote_fraction", r.memory.remoteFraction());
+    return j;
+}
+
+/** The shipped-default group: SimConfig{} against SimConfig{} with flat
+ * search on every paper dag (4-socket, partitioned, hinted), one row
+ * per (dag, seed, side). */
+ShippedRatio
+shippedRows(JsonReport &report, const BenchArgs &args, uint64_t first_seed,
+            int num_seeds)
+{
+    ShippedRatio ratio;
+    std::printf("\nShipped default vs flat search, %d cores, %d seeds:\n",
+                args.cores, num_seeds);
+    Table t({"workload", "T(shipped) ms", "T(flat) ms", "ratio", "won"});
+    for (const SimWorkload &wl : simWorkloads(args.scale)) {
+        if (!args.selected(wl))
+            continue;
+        const sim::ComputationDag dag = wl.build(
+            socketsFor(args.cores), Placement::Partitioned, true);
+        double shipped_mean = 0.0, flat_mean = 0.0;
+        int won = 0;
+        for (int s = 0; s < num_seeds; ++s) {
+            sim::SimConfig shipped;
+            shipped.seed = first_seed + 7919ULL * s;
+            sim::SimConfig flat = shipped;
+            flat.sched.hierarchicalSteals = false;
+            const sim::SimResult rs =
+                sim::simulatePacked(dag, args.cores, shipped);
+            const sim::SimResult rf =
+                sim::simulatePacked(dag, args.cores, flat);
+            report.addRow(simRow(wl.name, "shipped-default", args.cores,
+                                 shipped.seed, rs));
+            report.addRow(simRow(wl.name, "shipped-flat", args.cores,
+                                 shipped.seed, rf));
+            shipped_mean += rs.elapsedSeconds / num_seeds;
+            flat_mean += rf.elapsedSeconds / num_seeds;
+            ratio.logSum += std::log(rs.elapsedSeconds / rf.elapsedSeconds);
+            ++ratio.cells;
+            won += rs.elapsedSeconds < rf.elapsedSeconds ? 1 : 0;
+        }
+        ratio.won += won;
+        t.addRow({wl.name, Table::fmtSeconds(shipped_mean * 1e3),
+                  Table::fmtSeconds(flat_mean * 1e3),
+                  Table::fmtRatio(shipped_mean / flat_mean),
+                  std::to_string(won) + "/" + std::to_string(num_seeds)});
+    }
+    t.print();
+    return ratio;
 }
 
 /** The same policy grid on the threaded runtime (fib + heat), so the
@@ -193,25 +282,8 @@ main(int argc, char **argv)
                 const uint64_t seed = first_seed + 7919ULL * s;
                 const sim::SimResult r = sim::simulatePacked(
                     sc.dag, args.cores, configOf(row, seed));
-                JsonRow j;
-                j.set("engine", "sim")
-                    .set("workload", sc.name)
-                    .set("policy", row.name)
-                    .set("escalation", "fixed")
-                    .set("cores", args.cores)
-                    .set("seed", seed)
-                    .set("elapsed_s", r.elapsedSeconds)
-                    .set("work_s", r.workSeconds)
-                    .set("sched_s", r.schedSeconds)
-                    .set("idle_s", r.idleSeconds)
-                    .set("steal_attempts", r.counters.stealAttempts)
-                    .set("steals", r.counters.steals)
-                    .set("mailbox_steals", r.counters.mailboxSteals)
-                    .set("level_skips", r.counters.levelSkips)
-                    .set("board_dry_polls", r.counters.boardDryPolls)
-                    .set("push_successes", r.counters.pushSuccesses)
-                    .set("remote_fraction", r.memory.remoteFraction());
-                report.addRow(j);
+                report.addRow(
+                    simRow(sc.name, row.name, args.cores, seed, r));
                 mean.elapsed += r.elapsedSeconds / num_seeds;
                 mean.attempts += r.counters.stealAttempts;
                 idle += r.idleSeconds / num_seeds;
@@ -231,6 +303,9 @@ main(int argc, char **argv)
         }
         t.print();
     }
+    const ShippedRatio shipped =
+        skip_sim ? ShippedRatio{}
+                 : shippedRows(report, args, first_seed, num_seeds);
 
     if (!skip_threaded && args.only.empty()) {
         std::printf("\nThreaded runtime, %d workers:\n", threads);
@@ -261,6 +336,10 @@ main(int argc, char **argv)
                   matmul_m[kInformedHalf].elapsed
                       / matmul_m[kFlat].elapsed,
                   1.005);
+    std::printf("  shipped default faster than flat in %d of %d cells\n",
+                shipped.won, shipped.cells);
+    ok &= gateMax("shipped-default / flat elapsed (geomean)",
+                  shipped.geomean(), 1.00);
     if (!ok) {
         std::printf("FAIL: victim-policy acceptance gate violated\n");
         return 1;

@@ -256,8 +256,10 @@ struct SchedPolicy
     /** Constant pushing threshold (Section III-B): the cap on a frame's
      * lifetime PUSHBACK attempts. */
     int pushThreshold = 4;
-    /** Hierarchical level-by-level victim search with escalation. */
-    bool hierarchicalSteals = false;
+    /** Hierarchical level-by-level victim search with escalation,
+     * informed by the OccupancyBoard and data-home affinity. Flat
+     * search (false) is the paper's protocol, kept by paperBaseline(). */
+    bool hierarchicalSteals = true;
     /** Consecutive failed steals per level before widening the search. */
     int stealEscalationFailures = 2;
     /** Mailbox slots per worker (the paper's protocol is capacity 1). */
@@ -308,16 +310,18 @@ struct SchedPolicy
     /// @}
 
     /**
-     * The paper-literal baseline: Figure 2/Figure 5 semantics with the
-     * PR 0-3 wake/receiver protocols (periodic timer parking, blind
-     * random PUSHBACK receivers). Ablation baselines and the
-     * paper-faithful SimConfig factories request these explicitly so
-     * the Board defaults above never leak into a "paper" row.
+     * The paper-literal baseline: Figure 2/Figure 5 semantics with flat
+     * victim search and the PR 0-3 wake/receiver protocols (periodic
+     * timer parking, blind random PUSHBACK receivers). Ablation
+     * baselines and the paper-faithful SimConfig factories request
+     * these explicitly so the shipped defaults above never leak into a
+     * "paper" row.
      */
     static SchedPolicy
     paperBaseline()
     {
         SchedPolicy p;
+        p.hierarchicalSteals = false;
         p.parkPolicy = ParkPolicy::Timer;
         p.pushTarget = PushTarget::Random;
         return p;

@@ -139,11 +139,10 @@ struct SimConfig
     }
 
     /**
-     * NUMA-WS plus the steal-side extensions: hierarchical victim
-     * search with escalation (the occupancy+affinity informed ladder)
-     * and remote steal-half batching, on the shipped SchedPolicy
-     * defaults — the Board parking/PUSHBACK protocols and EWMA park
-     * tuning. PUSHBACK keeps the paper's constant pushing threshold.
+     * The shipped default + remote steal-half: the shipped SchedPolicy
+     * (informed hierarchical victim search, Board parking/PUSHBACK
+     * protocols, EWMA park tuning) with remote steal-half batching on
+     * top. PUSHBACK keeps the paper's constant pushing threshold.
      * Pass ParkPolicy::Timer / PushTarget::Random explicitly for the
      * blind wake/receiver baselines; flat search (hierarchicalSteals =
      * false) is the blind victim-selection baseline.
@@ -152,7 +151,6 @@ struct SimConfig
     adaptiveNumaWs()
     {
         SimConfig c;
-        c.sched.hierarchicalSteals = true;
         c.sched.remoteStealHalf = true;
         return c;
     }

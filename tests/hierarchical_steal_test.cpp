@@ -109,7 +109,6 @@ TEST(HierarchicalRuntime, HintedWorkCompletesUnderHierarchicalKnobs)
     RuntimeOptions o;
     o.numWorkers = 4;
     o.numPlaces = 2;
-    o.sched.hierarchicalSteals = true;
     o.sched.remoteStealHalf = true;
     o.seed = 7;
     Runtime rt(o);
@@ -194,7 +193,6 @@ TEST(HierarchicalRuntime, InformedPolicyComputesCorrectResults)
     RuntimeOptions o;
     o.numWorkers = 4;
     o.numPlaces = 2;
-    o.sched.hierarchicalSteals = true;
     o.sched.mailboxCapacity = 2;
     Runtime rt(o);
     EXPECT_EQ(workloads::fibParallel(rt, n, 10), workloads::fibSerial(n));
@@ -211,7 +209,6 @@ TEST(HierarchicalRuntime, AffinityResolvesDataHomesThroughThePageMap)
     RuntimeOptions o;
     o.numWorkers = 4;
     o.numPlaces = 2;
-    o.sched.hierarchicalSteals = true;
     o.pageMap = &pm;
     Runtime rt(o);
 
@@ -250,7 +247,6 @@ TEST(HierarchicalRuntime, EscalationCountersAdvanceUnderStarvation)
     RuntimeOptions o;
     o.numWorkers = 2;
     o.numPlaces = 2;
-    o.sched.hierarchicalSteals = true;
     o.sched.parkPolicy = ParkPolicy::Timer;
     Runtime rt(o);
     // Workers probe only while work is active, so keep one root running

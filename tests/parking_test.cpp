@@ -237,7 +237,6 @@ TEST(RuntimeParking, FibCorrectUnderEveryParkPushCombination)
             RuntimeOptions o;
             o.numWorkers = 3;
             o.numPlaces = 3;
-            o.sched.hierarchicalSteals = true;
             o.sched.parkPolicy = park;
             o.sched.pushTarget = push;
             // Short fallback: the 1-core host serializes threads, so

@@ -21,8 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "runtime/runtime.h"
 #include "sched/policy.h"
 #include "sched/steal_core.h"
+#include "sim/scheduler.h"
 #include "topology/machine.h"
 #include "topology/steal_distribution.h"
 
@@ -223,7 +225,6 @@ SchedPolicy
 fullPolicy()
 {
     SchedPolicy p;
-    p.hierarchicalSteals = true;
     p.remoteStealHalf = true;
     p.parkSpinFailures = 4; // park often: exercise the tuner
     return p;
@@ -300,6 +301,23 @@ TEST(EngineParity, SameSeedSameTraceAcrossRuns)
     const std::string b =
         replay(true, fullPolicy(), 3, 0xabc, 300, nullptr);
     EXPECT_EQ(a, b);
+}
+
+// ---------------------------------------------------------------------
+// Shipped defaults vs the paper baseline
+// ---------------------------------------------------------------------
+
+TEST(SchedPolicyDefaults, ShippedSearchIsInformedPaperFactoriesAreFlat)
+{
+    // Both engines ship the informed hierarchical search...
+    EXPECT_TRUE(SchedPolicy{}.hierarchicalSteals);
+    EXPECT_TRUE(RuntimeOptions{}.sched.hierarchicalSteals);
+    EXPECT_TRUE(sim::SimConfig{}.sched.hierarchicalSteals);
+    // ...while every paper-literal configuration keeps flat search.
+    EXPECT_FALSE(SchedPolicy::paperBaseline().hierarchicalSteals);
+    EXPECT_FALSE(sim::SimConfig::numaWs().sched.hierarchicalSteals);
+    EXPECT_FALSE(sim::SimConfig::classicWs().sched.hierarchicalSteals);
+    EXPECT_FALSE(sim::SimConfig::serial().sched.hierarchicalSteals);
 }
 
 // ---------------------------------------------------------------------

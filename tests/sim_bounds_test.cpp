@@ -59,6 +59,9 @@ const SchedCase kScheds[] = {
     {"classic", &SimConfig::classicWs},
     {"numaws", &SimConfig::numaWs},
     {"hierarchical", &SimConfig::adaptiveNumaWs}, // + steal-half
+    // The configuration that ships: informed hierarchical search on
+    // the Board parking/PUSHBACK defaults.
+    {"shipped", [] { return SimConfig{}; }},
 };
 
 class SchedulerBounds
