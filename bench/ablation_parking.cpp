@@ -114,7 +114,7 @@ struct Measured
 sim::SimConfig
 configOf(const Cell &cell, uint64_t seed)
 {
-    sim::SimConfig c = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig c;
     // Enable the parking model: park after a handful of fruitless
     // probes, the regime Runtime::mainLoop enters after its spin budget.
     // Every cell sets both policy axes explicitly, so the grid keeps

@@ -1,8 +1,8 @@
 /**
  * @file
- * Victim-policy ablation grid: {flat, occupancy+affinity,
- * occupancy+affinity+half} on the two workloads that pulled PR 1's
- * hierarchical search in opposite directions.
+ * Victim-policy ablation grid: {flat, occupancy+affinity} on the two
+ * workloads that pulled the first hierarchical search in opposite
+ * directions.
  *
  * PR 1 recorded the tension this grid measures: the blind distance
  * ladder cut matmul-layout steal probes ~16% but cost ~+30% simulated
@@ -10,9 +10,7 @@
  * the ladder kept probing drained local deques. The informed policy
  * consults the OccupancyBoard and the thief's data-region homes, so the
  * ladder skips provably-dry levels and lands on the mailbox-fed sockets
- * directly. The third row adds remote steal-half batching on top of
- * the informed ladder: the full steal-side extension set
- * (SimConfig::adaptiveNumaWs's knobs). A second row group,
+ * directly. A second row group,
  * shipped-default, runs the configuration that ships (SimConfig{},
  * whose informed search is on by default) against the same config
  * with flat search on all nine paper dags.
@@ -34,9 +32,9 @@
  *     (the PR 1 regression is erased),
  *  2. matmul_layout: occupancy+affinity steal probes stay >= 10% below
  *     flat search (the PR 1 win is kept),
- *  3. matmul_layout: occupancy+affinity+half <= flat-search simulated
- *     time (the full extension set does not lose on the paper's
- *     locality showcase),
+ *  3. matmul_layout: occupancy+affinity <= flat-search simulated time
+ *     (the informed search does not lose on the paper's locality
+ *     showcase),
  *  4. shipped-default: the geomean over (dag, seed) cells of
  *     SimConfig{} / flat-search SimConfig{} simulated time <= 1.00
  *     (the shipped default is the faster search on the paper dags).
@@ -60,22 +58,19 @@ struct PolicyRow
 {
     const char *name; ///< JSON "policy" field
     bool hierarchical;
-    bool stealHalf;
 };
 
 // Flat search is the blind baseline; hierarchical steals are the
-// informed (occupancy+affinity) ladder; "+half" adds remote steal-half.
+// informed (occupancy+affinity) ladder.
 enum RowIndex
 {
     kFlat,
     kInformed,
-    kInformedHalf,
     kNumRows
 };
 const PolicyRow kRows[kNumRows] = {
-    {"flat", false, false},
-    {"occupancy+affinity", true, false},
-    {"occupancy+affinity+half", true, true},
+    {"flat", false},
+    {"occupancy+affinity", true},
 };
 
 struct Measured
@@ -89,7 +84,6 @@ configOf(const PolicyRow &row, uint64_t seed)
 {
     sim::SimConfig c = sim::SimConfig::numaWs();
     c.sched.hierarchicalSteals = row.hierarchical;
-    c.sched.remoteStealHalf = row.stealHalf;
     c.seed = seed;
     return c;
 }
@@ -187,7 +181,6 @@ threadedRows(JsonReport &report, double scale, int workers)
         o.numWorkers = workers;
         o.numPlaces = workers >= 4 ? 4 : (workers >= 2 ? 2 : 1);
         o.sched.hierarchicalSteals = row.hierarchical;
-        o.sched.remoteStealHalf = row.stealHalf;
         Runtime rt(o);
 
         const double seconds = runThreadedFibHeat(rt, scale);
@@ -332,9 +325,8 @@ main(int argc, char **argv)
                   static_cast<double>(matmul_m[kInformed].attempts)
                       / static_cast<double>(matmul_m[kFlat].attempts),
                   0.90);
-    ok &= gateMax("matmul_layout occ+affinity+half / flat elapsed",
-                  matmul_m[kInformedHalf].elapsed
-                      / matmul_m[kFlat].elapsed,
+    ok &= gateMax("matmul_layout occ+affinity / flat elapsed",
+                  matmul_m[kInformed].elapsed / matmul_m[kFlat].elapsed,
                   1.005);
     std::printf("  shipped default faster than flat in %d of %d cells\n",
                 shipped.won, shipped.cells);

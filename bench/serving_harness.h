@@ -312,13 +312,12 @@ makeSimJobs(const SimMix &mix, double util, int cores, double ghz,
     return jobs;
 }
 
-/** The serving benches' simulated engine: the steal-side extensions
- * (SimConfig::adaptiveNumaWs), quick parking (when @p parking models
- * it), seeded. */
+/** The serving benches' simulated engine: the shipped default
+ * (SimConfig{}), quick parking (when @p parking models it), seeded. */
 inline sim::SimConfig
 servingSimConfig(bool parking, uint64_t seed)
 {
-    sim::SimConfig c = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig c;
     c.modelParking = parking;
     c.sched.parkSpinFailures = 4;
     c.seed = seed;

@@ -47,12 +47,10 @@ KEY_FIELDS = (
     "engine",
     "workload",
     "policy",
-    "victims",
     "escalation",
     "park",
     "push",
     "pool",
-    "mailbox",
     "cores",
     "workers",
     "spawns_per_sync",

@@ -5,9 +5,9 @@
  * The deque embodies the work-first principle at the data-structure level:
  * the busy owner pushes and pops at the tail with two atomic operations and
  * one fence, taking the lock only when it races a thief for the final
- * element; thieves always take the lock and steal from the head. The paper
- * inherits this protocol unchanged from Cilk Plus (Section II), and so do
- * both of our engines.
+ * element; thieves always take the lock and steal one item from the head.
+ * The paper inherits this protocol unchanged from Cilk Plus (Section II),
+ * and so do both of our engines.
  *
  * Terminology matches the paper: the *head* is where thieves steal (oldest
  * work) and the *tail* is where the owner works (youngest work). The ABP
@@ -147,55 +147,6 @@ class WsDeque
         // Deque empty (or owner won the conflict); retreat.
         _head.store(h, std::memory_order_relaxed);
         return nullptr;
-    }
-
-    /**
-     * Thief: steal up to half the deque from the head in one locked
-     * critical section (remote-steal batching). A cross-socket steal pays
-     * the same QPI round trip whether it moves one frame or several, so
-     * remote-level thieves amortize that latency by taking a batch; local
-     * thieves keep taking single frames, preserving the top-heavy-deques
-     * argument where it matters.
-     *
-     * Claims ceil-half of the observed size (never less than one when
-     * nonempty), capped at @p max_n, then validates against the tail the
-     * same increment-then-check way stealHead() does; if the owner is
-     * contending for the youngest items the claim retreats so the slot at
-     * the owner's tail index is never touched by the batch.
-     *
-     * @param out receives the stolen items, oldest first.
-     * @param max_n capacity of @p out.
-     * @return number of items written to @p out.
-     */
-    std::size_t
-    stealHalf(T **out, std::size_t max_n)
-    {
-        if (max_n == 0)
-            return 0;
-        std::lock_guard<SpinLock> g(_lock);
-        const int64_t h = _head.load(std::memory_order_relaxed);
-        const int64_t t0 = _tail.load(std::memory_order_acquire);
-        const int64_t avail = t0 - h;
-        if (avail <= 0)
-            return 0;
-        int64_t want = (avail + 1) / 2;
-        if (want > static_cast<int64_t>(max_n))
-            want = static_cast<int64_t>(max_n);
-        // Claim the range before validating, mirroring stealHead().
-        _head.store(h + want, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        const int64_t t = _tail.load(std::memory_order_relaxed);
-        if (t < h + want) {
-            // The owner decremented the tail into our claim; keep only
-            // the items strictly below its tail index and release the
-            // rest (the racing slot at index t belongs to the owner).
-            const int64_t safe = t - h > 0 ? t - h : 0;
-            _head.store(h + safe, std::memory_order_relaxed);
-            want = safe;
-        }
-        for (int64_t i = 0; i < want; ++i)
-            out[i] = _buffer[static_cast<std::size_t>(h + i) % _capacity];
-        return static_cast<std::size_t>(want);
     }
 
     /** Approximate emptiness check (exact for the owner when quiescent). */

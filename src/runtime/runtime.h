@@ -71,9 +71,6 @@ namespace numaws {
 
 class Runtime;
 
-/** Hard cap on frames moved by one batched remote steal. */
-inline constexpr std::size_t kStealHalfCap = 16;
-
 /**
  * What Runtime teardown does with jobs still queued (running jobs are
  * always completed — a body cannot be abandoned mid-flight).
@@ -169,8 +166,9 @@ struct BasicWorkerCounters
     Count pushbackGiveUps = 0; ///< threshold reached, ran it ourselves
     Count tasksExecuted = 0;
     Count tasksOnHintedPlace = 0; ///< hinted tasks run where hinted
-    Count stealHalfBatches = 0;   ///< batched remote steals performed
-    Count stealHalfTasks = 0;     ///< tasks moved by batched steals
+    /** Always 0: steals move one frame (the paper's transport). Kept
+     * because the repository benchmark still reports it. */
+    Count stealHalfTasks = 0;
     /** Decision counters (stealAttempts above, and the three below) are
      * maintained by each worker's StealCore — the shared policy brain —
      * and folded in by Runtime::stats() via Worker::foldCoreCounters. */
@@ -338,7 +336,7 @@ class TaskGroup
     onChildDone(const Worker *w)
     {
         // _owner was written before the child's deque push, and every
-        // route off the deque (steal, mailbox, batched re-push) is an
+        // route off the deque (steal, mailbox) is an
         // acquire chain from that push, so a remote finisher reads it
         // race-free. The fetch_add is the finisher's last touch: the
         // owner may return from sync and destroy the group right after.
@@ -524,14 +522,20 @@ class Worker
     NumaHeap &dataHeap() { return _dataHeap; }
 
     /**
-     * Spawn-time placement hint for a data-annotated spawn: resolve the
-     * range's *registered* page homes through the runtime's affinity
-     * PageMap and pick a place from the resulting mask
-     * (StealCore::placeFromAffinity). kAnyPlace when nothing is
-     * registered — unregistered data must not herd spawns onto
+     * Sockets homing the first and last page of a data-annotated
+     * spawn's range, resolved through the runtime's affinity PageMap
+     * (bit s == socket s). Only *registered* pages count: 0 for
+     * plain-heap data.
+     */
+    uint32_t dataHomeMask(const void *data, std::size_t bytes) const;
+
+    /**
+     * Spawn-time placement hint from a dataHomeMask: a place picked
+     * from the mask (StealCore::placeFromAffinity). kAnyPlace for an
+     * empty mask — unregistered data must not herd spawns onto
      * socket 0.
      */
-    Place placeForData(const void *data, std::size_t bytes) const;
+    Place placeForDataHomes(uint32_t mask) const;
 
     /** @name Runtime-internal scheduling entry points */
     /// @{
@@ -617,8 +621,8 @@ class Worker
 
     /** The own deque just gained work: publish the bit and wake per
      * the core's WakeDirective (targeted edge wake under board
-     * parking, global notify under the timer). The single
-     * wake-protocol site for pushTask and the batched-steal extras. */
+     * parking, global notify under the timer). pushTask's wake
+     * protocol, kept out of line off the spawn path. */
     void publishOwnDequeAndNotify();
 
     Runtime &_runtime;
@@ -982,14 +986,19 @@ TaskGroup::spawn(F &&fn, Place place, const void *data,
         throw JobCancelled{};
     if (place == kInheritPlace)
         place = w->currentHint();
-    // Spawn-time placement hint (the PR 2 affinity mask, consulted at
-    // spawn): an unplaced task annotated with a data range lands on the
-    // range's home-socket deque, so PartedVec::forEachShard spawns get
-    // their affinity without callers naming places. Only *registered*
-    // ranges produce a hint; plain-heap data keeps kAnyPlace. The check
-    // costs one compare when no annotation is present (work-first).
-    if (!isConcretePlace(place) && data != nullptr && data_bytes > 0)
-        place = w->placeForData(data, data_bytes);
+    // A data annotation resolves to its home sockets once, here: the
+    // mask rides on the task for the steal path's affinity weighting,
+    // and an unplaced task lands on the range's home-socket deque, so
+    // PartedVec::forEachShard spawns get their affinity without callers
+    // naming places. Only *registered* ranges produce a hint;
+    // plain-heap data keeps kAnyPlace. A spawn without an annotation
+    // pays two compares for all of this (work-first).
+    uint32_t data_homes = 0;
+    if (data != nullptr && data_bytes > 0) {
+        data_homes = w->dataHomeMask(data, data_bytes);
+        if (!isConcretePlace(place))
+            place = w->placeForDataHomes(data_homes);
+    }
     using Fn = std::decay_t<F>;
     using Impl = TaskImpl<Fn>;
     // Allocation-free fast path: placement-new into a recycled frame
@@ -1022,8 +1031,8 @@ TaskGroup::spawn(F &&fn, Place place, const void *data,
     }
     if (task == nullptr)
         task = new Impl(this, place, std::forward<F>(fn));
-    if (data != nullptr && data_bytes > 0)
-        task->setData(data, data_bytes);
+    if (data_homes != 0)
+        task->setDataHomes(data_homes);
     // Children compute for the same job as their spawner (null outside
     // any job), so stolen subtasks observe cancellation too.
     task->setJob(w->currentJob());

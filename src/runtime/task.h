@@ -94,18 +94,14 @@ class TaskBase
     void setJob(JobState *job) { _job = job; }
     /// @}
 
-    /** @name Data range this task chiefly touches (affinity hint)
-     * Resolved against the runtime's PageMap to socket homes; feeds the
-     * informed victim weighting. Zero bytes == no annotation. */
+    /** @name Data homes (affinity hint)
+     * Sockets homing the first and last page of the data range this
+     * task chiefly touches (bit s == socket s), resolved once at spawn
+     * through the runtime's PageMap; feeds the informed victim
+     * weighting. 0 == no annotation, or unregistered data. */
     /// @{
-    void
-    setData(const void *addr, std::size_t bytes)
-    {
-        _dataAddr = reinterpret_cast<uint64_t>(addr);
-        _dataBytes = bytes;
-    }
-    uint64_t dataAddr() const { return _dataAddr; }
-    uint64_t dataBytes() const { return _dataBytes; }
+    uint32_t dataHomes() const { return _dataHomes; }
+    void setDataHomes(uint32_t mask) { _dataHomes = mask; }
     /// @}
 
   private:
@@ -115,8 +111,7 @@ class TaskBase
     bool _stolen = false;
     uint32_t _pushCount = 0;
     int32_t _poolOwner = -1;
-    uint64_t _dataAddr = 0;
-    uint64_t _dataBytes = 0;
+    uint32_t _dataHomes = 0;
 };
 
 /** Concrete task holding a callable inline (one frame per spawn,

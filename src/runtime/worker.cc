@@ -23,7 +23,6 @@ BasicWorkerCounters<Count>::merge(const BasicWorkerCounters<O> &o)
     pushbackGiveUps += o.pushbackGiveUps;
     tasksExecuted += o.tasksExecuted;
     tasksOnHintedPlace += o.tasksOnHintedPlace;
-    stealHalfBatches += o.stealHalfBatches;
     stealHalfTasks += o.stealHalfTasks;
     escalations += o.escalations;
     levelSkips += o.levelSkips;
@@ -58,7 +57,6 @@ Worker::Worker(Runtime &runtime, int id, int place, uint64_t seed,
       _id(id),
       _place(place),
       _deque(deque_capacity),
-      _mailbox(runtime.options().sched.mailboxCapacity),
       _framePool(id,
                  runtime.options().taskPool == TaskPoolPolicy::Pooled),
       _dataHeap(id, place,
@@ -167,7 +165,7 @@ Worker::trySteal()
     if (_runtime.numWorkers() <= 1)
         return nullptr;
     // All decisions — dry-poll cadence, victim, mailbox-vs-deque
-    // inspection order, batching — come from the core; this driver only
+    // inspection order — come from the core; the runtime only
     // executes them against the real deques and mailboxes.
     const StealAction action = _core.nextAction();
     if (action.kind == StealAction::Kind::DryPoll)
@@ -181,21 +179,8 @@ Worker::trySteal()
         from_mailbox = task != nullptr;
         // Outcome 1 (mailbox empty): fall through to the deque.
     }
-    std::size_t batch_extra = 0;
-    TaskBase *batch[kStealHalfCap];
     if (task == nullptr) {
-        if (action.remoteBatch) {
-            std::size_t cap = static_cast<std::size_t>(action.batchMax);
-            if (cap > kStealHalfCap)
-                cap = kStealHalfCap;
-            const std::size_t n = victim.deque().stealHalf(batch, cap);
-            if (n > 0) {
-                task = batch[0];
-                batch_extra = n - 1;
-            }
-        } else {
-            task = victim.deque().stealHead();
-        }
+        task = victim.deque().stealHead();
         // The probe already paid for the cache traffic: repair the
         // victim's staleness (a 1-bit over an empty deque) for free.
         if (victim.deque().empty())
@@ -214,18 +199,6 @@ Worker::trySteal()
         ++_counters.mailboxTakes;
     else
         ++_counters.steals;
-    if (batch_extra > 0) {
-        ++_counters.stealHalfBatches;
-        _counters.stealHalfTasks += batch_extra + 1;
-        _counters.steals += batch_extra;
-        // Extras land on our own deque, oldest first, where they stay
-        // stealable by anyone else.
-        for (std::size_t i = 1; i <= batch_extra; ++i) {
-            batch[i]->markStolen();
-            _deque.pushTail(batch[i]);
-        }
-        publishOwnDequeAndNotify();
-    }
     // Promotion analogue: the task has now migrated off its spawner.
     task->markStolen();
 
@@ -279,33 +252,23 @@ Worker::pushBack(TaskBase *task)
 void
 Worker::noteAffinity(const TaskBase *task)
 {
-    // Data-home affinity for informed steals: resolve the
-    // task's annotated data range through the affinity PageMap — the
-    // user-supplied one, or the runtime's own data-plane map, so
-    // PartedVec shards count without any configuration. First and last
-    // page are enough: registrations are contiguous per policy. Tasks
-    // without an annotation, or annotated with *unregistered* data
-    // (plain-heap buffers), fall back to their place hint.
-    uint32_t mask = 0;
-    if (task->dataBytes() > 0) {
-        const PageMap *pm = _runtime.affinityPageMap();
-        const int first = pm->registeredHomeOf(task->dataAddr());
-        const int last = pm->registeredHomeOf(task->dataAddr()
-                                              + task->dataBytes() - 1);
-        if (first >= 0 && first < 32)
-            mask |= 1u << first;
-        if (last >= 0 && last < 32)
-            mask |= 1u << last;
-    }
+    // Data-home affinity for informed steals: the mask the spawn
+    // resolved from the task's annotated range (PartedVec shards count
+    // through the runtime's own data-plane map). Tasks without an
+    // annotation, or annotated with *unregistered* data (plain-heap
+    // buffers), fall back to their place hint.
+    uint32_t mask = task->dataHomes();
     if (mask == 0 && isConcretePlace(task->place())
         && task->place() < 32)
         mask = 1u << task->place();
     _core.setAffinity(mask);
 }
 
-Place
-Worker::placeForData(const void *data, std::size_t bytes) const
+uint32_t
+Worker::dataHomeMask(const void *data, std::size_t bytes) const
 {
+    // First and last page are enough: registrations are contiguous per
+    // policy.
     const PageMap *pm = _runtime.affinityPageMap();
     const auto addr = reinterpret_cast<uint64_t>(data);
     uint32_t mask = 0;
@@ -315,6 +278,12 @@ Worker::placeForData(const void *data, std::size_t bytes) const
         mask |= 1u << first;
     if (last >= 0 && last < 32)
         mask |= 1u << last;
+    return mask;
+}
+
+Place
+Worker::placeForDataHomes(uint32_t mask) const
+{
     const Place p = StealCore::placeFromAffinity(mask);
     if (!isConcretePlace(p) || p >= _runtime.numPlaces())
         return kAnyPlace;

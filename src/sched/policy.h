@@ -240,6 +240,9 @@ struct ServingPolicy
  * Scheduling-policy knobs shared verbatim by the threaded runtime and
  * the simulator. Mirrors the paper's mechanisms one-for-one plus the
  * hierarchical victim-search extensions, each independently ablatable.
+ * The transport is the paper's and is not a knob: a steal moves one
+ * frame and a mailbox holds one frame, the single entry Section IV's
+ * top-heavy-deques argument rests on.
  */
 struct SchedPolicy
 {
@@ -262,8 +265,6 @@ struct SchedPolicy
     bool hierarchicalSteals = true;
     /** Consecutive failed steals per level before widening the search. */
     int stealEscalationFailures = 2;
-    /** Mailbox slots per worker (the paper's protocol is capacity 1). */
-    int mailboxCapacity = 1;
     /** Idle-worker parking policy (see ParkPolicy). */
     ParkPolicy parkPolicy = ParkPolicy::Board;
     /** Timer-policy wait period, microseconds. */
@@ -281,11 +282,6 @@ struct SchedPolicy
     int parkSpinFailures = 64;
     /** PUSHBACK receiver selection (see PushTarget). */
     PushTarget pushTarget = PushTarget::Board;
-    /** Steal-half batching for remote-level (>= two-hop) steals. */
-    bool remoteStealHalf = false;
-    /** Max frames one batched remote steal may move (engines clamp to
-     * their transport cap). */
-    int stealHalfMax = 8;
     /** Overload protection for the serving front door: admission
      * bounds and load shedding (see ServingPolicy / ShedPolicy above).
      * Executed by the shared ShedCore in both engines. */

@@ -73,14 +73,6 @@ StealCore::nextAction()
         && !board->dequeNonempty(a.victim))
         check_mailbox = true;
     a.checkMailboxFirst = check_mailbox;
-    // Remote-level victims pay a full cross-socket round trip per steal,
-    // so those take a batch; closer victims keep the paper's
-    // single-frame protocol.
-    if (_policy.remoteStealHalf
-        && dist.levelOf(_self, a.victim) == kLevelRemote) {
-        a.remoteBatch = true;
-        a.batchMax = _policy.stealHalfMax > 0 ? _policy.stealHalfMax : 1;
-    }
     return a;
 }
 

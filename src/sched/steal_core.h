@@ -4,11 +4,10 @@
  *
  * Everything that *chooses* on the steal path lives here — dry-poll
  * cadence, hierarchical/informed victim sampling, the mailbox-vs-deque
- * coin flip and its informed override, remote steal-half eligibility,
- * escalation bookkeeping, PUSHBACK receiver selection, the
- * park-after-N-failures streak, and the EWMA-tuned parking
- * constants. The threaded runtime (runtime/worker.cc) and the simulator
- * (sim/scheduler.cc) are thin drivers that *execute* the returned
+ * coin flip and its informed override, escalation bookkeeping, PUSHBACK
+ * receiver selection, the park-after-N-failures streak, and the
+ * EWMA-tuned parking constants. The threaded runtime (runtime/worker.cc)
+ * and the simulator (sim/scheduler.cc) only *execute* the returned
  * actions (probe victim V, poll the board, push to mailbox M, park on
  * socket S) against their own mechanics, so a policy decision exists in
  * exactly one place and the engines cannot diverge.
@@ -72,10 +71,6 @@ struct StealAction
     bool checkMailboxFirst = false;
     /** A board consult steered this action (engines price the read). */
     bool informedConsult = false;
-    /** The victim is remote-level and steal-half batching applies. */
-    bool remoteBatch = false;
-    /** Cap on total frames a batched steal may move (>= 1). */
-    int batchMax = 1;
 };
 
 /** What a work-publishing engine should do about sleepers. */

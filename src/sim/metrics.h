@@ -33,8 +33,6 @@ struct SimCounters
     uint64_t pushAttempts = 0;
     uint64_t pushSuccesses = 0;
     uint64_t resumes = 0;        ///< suspended-parent resumptions
-    uint64_t batchedSteals = 0;  ///< remote steals that moved a batch
-    uint64_t batchedFrames = 0;  ///< extra frames moved by those batches
     uint64_t levelSkips = 0;     ///< dry levels skipped via the board
     uint64_t boardDryPolls = 0;  ///< probes skipped on an all-dry board
     uint64_t parks = 0;          ///< idle cores entering the parked state

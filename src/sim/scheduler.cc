@@ -5,7 +5,6 @@
 #include <optional>
 #include <queue>
 
-#include "deque/mailbox.h"
 #include "sched/interference_core.h"
 #include "sched/shed_core.h"
 #include "sim/serving.h"
@@ -44,17 +43,8 @@ struct CoreState
     double clock = 0.0;
     Continuation cur;
     std::deque<Continuation> deq; ///< back == tail (owner), front == head
-    /** Parked frames, oldest first; bounded by the policy's
-     * mailboxCapacity (the paper's single-entry mailbox is capacity 1). */
-    std::deque<Continuation> mailbox;
-    /**
-     * Extras from a batched remote steal, already promoted, drained in
-     * the scheduling loop before the next steal attempt. Private to this
-     * core: the sim's deque entries must stay an ancestor chain of the
-     * current task (stepReturn asserts it), so foreign continuations may
-     * not enter `deq`.
-     */
-    std::deque<Continuation> overflow;
+    /** The parked frame, if valid: the paper's single-entry mailbox. */
+    Continuation mailbox;
     /**
      * Checkpointed continuations of preempted jobs, innermost last.
      * When a Spawn-boundary yield stashes the current continuation
@@ -137,12 +127,6 @@ class Simulation
         _epochCycles = _cfg.sched.serving.pressureEpochUs * _usToCycles;
         _nextEpochAt = _epochCycles;
         NUMAWS_ASSERT(cores >= 1);
-        // Clamp exactly like the threaded Mailbox does, so a cross-engine
-        // run with an out-of-range capacity compares like with like.
-        if (_cfg.sched.mailboxCapacity < 1)
-            _cfg.sched.mailboxCapacity = 1;
-        if (_cfg.sched.mailboxCapacity > kMaxMailboxCapacity)
-            _cfg.sched.mailboxCapacity = kMaxMailboxCapacity;
         // One StealCore per simulated core — the same brain the threaded
         // runtime drives, fed the sim's seeded RNG chain so runs stay
         // byte-reproducible per seed.
@@ -238,7 +222,7 @@ class Simulation
             const int receiver =
                 brain.pickPushReceiver(first, last, /*self=*/core,
                                        target);
-            if (receiver != core && mailboxHasRoom(receiver)) {
+            if (receiver != core && !_cores[receiver].mailbox.valid()) {
                 mailboxDeposit(receiver, cont, core);
                 ++_counters.pushSuccesses;
                 return true;
@@ -381,17 +365,10 @@ class Simulation
         return cont;
     }
 
-    bool
-    mailboxHasRoom(int core) const
-    {
-        return static_cast<int>(_cores[core].mailbox.size())
-               < _cfg.sched.mailboxCapacity;
-    }
-
     void
     mailboxDeposit(int receiver, Continuation cont, int actor)
     {
-        _cores[receiver].mailbox.push_back(cont);
+        _cores[receiver].mailbox = cont;
         if (_board.publishMailbox(receiver, true))
             maybeWakeSocket(socketOf(receiver), actor);
     }
@@ -399,10 +376,9 @@ class Simulation
     Continuation
     mailboxTake(int core)
     {
-        Continuation cont = _cores[core].mailbox.front();
-        _cores[core].mailbox.pop_front();
-        if (_cores[core].mailbox.empty())
-            _board.publishMailbox(core, false);
+        const Continuation cont = _cores[core].mailbox;
+        _cores[core].mailbox = Continuation{};
+        _board.publishMailbox(core, false);
         return cont;
     }
     /// @}
@@ -927,7 +903,7 @@ Simulation::stepStealAttempt(int core)
         return {_cfg.stealAttemptBase, Charge::Idle};
 
     // Every decision — dry-poll cadence, victim, the coin flip and its
-    // informed override, batching eligibility — comes from the shared
+    // informed override — comes from the shared
     // StealCore; this driver executes the action under the cost model.
     const StealAction action = c.brain.nextAction();
     if (action.kind == StealAction::Kind::DryPoll) {
@@ -953,7 +929,7 @@ Simulation::stepStealAttempt(int core)
 
     if (action.checkMailboxFirst) {
         cost += _cfg.mailboxCheckCost;
-        if (!_cores[victim].mailbox.empty()) {
+        if (_cores[victim].mailbox.valid()) {
             const Continuation cont = mailboxTake(victim);
             const Place p = _dag.frame(cont.frame).place;
             if (!placeMismatch(core, p)) {
@@ -974,8 +950,7 @@ Simulation::stepStealAttempt(int core)
     }
 
     if (!got.valid()) {
-        CoreState &v = _cores[victim];
-        if (!v.deq.empty()) {
+        if (!_cores[victim].deq.empty()) {
             got = dequePopFront(victim);
             // Promotion: the frame is now (again) a stolen full frame,
             // and the victim keeps executing one outstanding child.
@@ -984,30 +959,6 @@ Simulation::stepStealAttempt(int core)
             fs.stolen = true;
             ++fs.joinCount;
             cost += _cfg.promotionCost;
-            // Remote-level batching: one cross-socket round trip moves
-            // up to half the victim's deque; extras are promoted now and
-            // parked in the private overflow buffer at a reduced
-            // per-frame cost (the amortization this knob buys).
-            if (action.remoteBatch) {
-                // Total batch = ceil(half) of the original deque size,
-                // mirroring WsDeque::stealHalf: one frame was already
-                // popped above, so take size/2 of what remains.
-                int extras = static_cast<int>(v.deq.size() / 2);
-                if (extras > action.batchMax - 1)
-                    extras = action.batchMax - 1;
-                for (int i = 0; i < extras; ++i) {
-                    Continuation extra = dequePopFront(victim);
-                    FrameState &es = _frames[extra.frame];
-                    es.stolen = true;
-                    ++es.joinCount;
-                    ++_counters.steals;
-                    ++_counters.batchedFrames;
-                    cost += _cfg.batchExtraCost;
-                    c.overflow.push_back(extra);
-                }
-                if (extras > 0)
-                    ++_counters.batchedSteals;
-            }
             // Figure 5: a freshly stolen frame earmarked for a different
             // socket is pushed toward its place.
             if (placeMismatch(core, _dag.frame(got.frame).place)) {
@@ -1058,7 +1009,7 @@ Simulation::stepSchedulingLoop(int core)
     // A preempted chain is parked on this core: the only legal moves
     // are claiming another strictly-higher-effective-class job (nested
     // preemption — its chain stacks on the deque exactly like the
-    // first) or resuming the checkpoint. Mailbox/overflow/steal work
+    // first) or resuming the checkpoint. Mailbox or steal work
     // would start an unrelated chain above the preempted one's deque
     // entries and break the ancestor-chain invariant stepReturn pops
     // by; it stays available to every *other* core throughout.
@@ -1072,26 +1023,10 @@ Simulation::stepSchedulingLoop(int core)
     }
 
     // POPMAILBOX (Figure 5 line 26): something parked for this place?
-    if (!c.mailbox.empty()) {
+    if (c.mailbox.valid()) {
         c.cur = mailboxTake(core);
         ++_counters.mailboxPops;
         return {_cfg.mailboxCheckCost, Charge::Sched};
-    }
-
-    // Drain the batched-steal overflow before probing new victims. The
-    // scheduling loop runs with an empty deque, so resuming one of these
-    // behaves exactly like a freshly stolen continuation — including the
-    // Figure 5 place check.
-    if (!c.overflow.empty()) {
-        Continuation cont = c.overflow.front();
-        c.overflow.pop_front();
-        double cost = _cfg.mailboxCheckCost;
-        if (placeMismatch(core, _dag.frame(cont.frame).place)) {
-            if (pushBack(core, cont, cost))
-                return {cost, Charge::Sched};
-        }
-        c.cur = cont;
-        return {cost, Charge::Sched};
     }
 
     // Admission before stealing (the threaded mainLoop's order): claim
@@ -1148,13 +1083,13 @@ Simulation::run()
         // Adaptation verdict (the sim's Worker::retirePark): a core
         // retired by the ladder sleeps one epoch charged idle instead
         // of claiming or stealing — but only once its own chain and
-        // private buffers are drained, the threaded drain-first rule,
+        // preempted stack are drained, the threaded drain-first rule,
         // *including* a pending CHECK_PARENT duty: only this core can
         // resume the parent it just unblocked, so deferring it across
         // the sleep would strand the suspended frame forever. Mailbox
         // entries stay stealable by every other core.
         if (_trace != nullptr && !c.cur.valid() && c.deq.empty()
-            && c.overflow.empty() && c.preempted.empty()
+            && c.preempted.empty()
             && c.next == NextAction::Steal
             && _interference.workerRetired(socketOf(ev.core),
                                            rankFromTop(ev.core))) {

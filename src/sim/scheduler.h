@@ -8,7 +8,8 @@
  * suspend, CHECK_PARENT resumes the suspended parent) and Figure 5 (the
  * NUMA-WS additions: place checks with PUSHBACK at nontrivial sync, at
  * CHECK_PARENT, and after successful steals; POPMAILBOX in the scheduling
- * loop; BIASEDSTEALWITHPUSH with the mailbox-vs-deque coin flip). The
+ * loop; BIASEDSTEALWITHPUSH with the mailbox-vs-deque coin flip). A steal
+ * moves one continuation and a mailbox holds one, as in the paper. The
  * classic and NUMA-WS schedulers are the same engine under different
  * SimConfig knobs, so ablations toggle one mechanism at a time.
  *
@@ -86,7 +87,6 @@ struct SimConfig
     double resumeCost = 100.0;       ///< resume a suspended full frame
     double mailboxCheckCost = 40.0;  ///< POPMAILBOX / mailbox inspection
     double pushAttemptCost = 140.0;  ///< one PUSHBACK attempt
-    double batchExtraCost = 60.0;    ///< per extra frame in a batched steal
     /** Reading the occupancy board: ~2 words per socket of read-mostly
      * shared lines, mostly L1/L2 hits after the first scan. Charged on
      * a dry poll that *replaces* a victim probe AND on every informed
@@ -135,23 +135,6 @@ struct SimConfig
     {
         SimConfig c;
         c.sched = SchedPolicy::paperBaseline();
-        return c;
-    }
-
-    /**
-     * The shipped default + remote steal-half: the shipped SchedPolicy
-     * (informed hierarchical victim search, Board parking/PUSHBACK
-     * protocols, EWMA park tuning) with remote steal-half batching on
-     * top. PUSHBACK keeps the paper's constant pushing threshold.
-     * Pass ParkPolicy::Timer / PushTarget::Random explicitly for the
-     * blind wake/receiver baselines; flat search (hierarchicalSteals =
-     * false) is the blind victim-selection baseline.
-     */
-    static SimConfig
-    adaptiveNumaWs()
-    {
-        SimConfig c;
-        c.sched.remoteStealHalf = true;
         return c;
     }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the hierarchical victim search (escalation ladder, informed
- * occupancy+affinity sampling, remote steal-half) as wired into both
- * engines, including the load-balance-first invariant that a starving
- * worker steals against the place hint rather than idling.
+ * occupancy+affinity sampling) as wired into both engines, including the
+ * load-balance-first invariant that a starving worker steals against the
+ * place hint rather than idling.
  */
 #include <gtest/gtest.h>
 
@@ -55,7 +55,7 @@ placeZeroHeavyDag(int mids, int leaves_per_mid, double leaf_cycles)
 TEST(HierarchicalSim, StarvingWorkersStealAgainstTheHint)
 {
     const sim::ComputationDag dag = placeZeroHeavyDag(16, 8, 5000.0);
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.seed = 99;
     const sim::SimResult r = sim::simulatePacked(dag, 16, cfg);
 
@@ -76,28 +76,11 @@ TEST(HierarchicalSim, ExtensionConfigMatchesWorkOfBaseline)
     // never *what* runs: strand count and spawn count are invariant.
     const sim::ComputationDag dag = placeZeroHeavyDag(8, 4, 2000.0);
     sim::SimConfig base = sim::SimConfig::numaWs();
-    sim::SimConfig ext = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig ext;
     const sim::SimResult rb = sim::simulatePacked(dag, 16, base);
     const sim::SimResult ra = sim::simulatePacked(dag, 16, ext);
     EXPECT_EQ(rb.counters.strandsExecuted, ra.counters.strandsExecuted);
     EXPECT_EQ(rb.counters.spawns, ra.counters.spawns);
-}
-
-TEST(HierarchicalSim, RemoteStealHalfMovesBatches)
-{
-    // fib at depth 20 creates deep deques; on the four-socket machine
-    // remote-level victims exist, so batching must fire.
-    const sim::ComputationDag dag = workloads::fibDag(20);
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
-    const sim::SimResult r = sim::simulatePacked(dag, 32, cfg);
-    EXPECT_GT(r.counters.batchedSteals, 0u);
-    EXPECT_GE(r.counters.batchedFrames, r.counters.batchedSteals);
-
-    // And the knob really is the gate: no batches without it.
-    sim::SimConfig off = sim::SimConfig::numaWs();
-    const sim::SimResult r2 = sim::simulatePacked(dag, 32, off);
-    EXPECT_EQ(r2.counters.batchedSteals, 0u);
-    EXPECT_EQ(r2.counters.batchedFrames, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -109,7 +92,6 @@ TEST(HierarchicalRuntime, HintedWorkCompletesUnderHierarchicalKnobs)
     RuntimeOptions o;
     o.numWorkers = 4;
     o.numPlaces = 2;
-    o.sched.remoteStealHalf = true;
     o.seed = 7;
     Runtime rt(o);
 
@@ -146,7 +128,6 @@ TEST(HierarchicalRuntime, FibMatchesSerialUnderBothSearches)
         o.numWorkers = 3;
         o.numPlaces = 3;
         o.sched.hierarchicalSteals = hierarchical;
-        o.sched.remoteStealHalf = hierarchical;
         Runtime rt(o);
         EXPECT_EQ(workloads::fibParallel(rt, n, 10), expected)
             << "hierarchical=" << hierarchical;
@@ -157,12 +138,12 @@ TEST(HierarchicalSim, InformedPolicyMatchesWorkOfFlatSearch)
 {
     // Victim selection changes where thieves look, never what executes.
     const sim::ComputationDag dag = placeZeroHeavyDag(8, 4, 2000.0);
-    sim::SimConfig flat = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig flat;
     flat.sched.hierarchicalSteals = false;
     const sim::SimResult base = sim::simulatePacked(dag, 16, flat);
     EXPECT_EQ(base.counters.levelSkips, 0u); // blind search
     const sim::SimResult r =
-        sim::simulatePacked(dag, 16, sim::SimConfig::adaptiveNumaWs());
+        sim::simulatePacked(dag, 16, sim::SimConfig{});
     EXPECT_EQ(r.counters.strandsExecuted, base.counters.strandsExecuted);
     EXPECT_EQ(r.counters.spawns, base.counters.spawns);
 }
@@ -173,10 +154,10 @@ TEST(HierarchicalSim, InformedPolicySkipsProbesOnHintedWork)
     // actually skip levels and replace probes with dry polls.
     const sim::ComputationDag dag = placeZeroHeavyDag(16, 8, 5000.0);
     const sim::SimResult r =
-        sim::simulatePacked(dag, 16, sim::SimConfig::adaptiveNumaWs());
+        sim::simulatePacked(dag, 16, sim::SimConfig{});
 
     // Flat search is the blind baseline: it never consults the board.
-    sim::SimConfig blind = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig blind;
     blind.sched.hierarchicalSteals = false;
     const sim::SimResult rb = sim::simulatePacked(dag, 16, blind);
 
@@ -193,7 +174,6 @@ TEST(HierarchicalRuntime, InformedPolicyComputesCorrectResults)
     RuntimeOptions o;
     o.numWorkers = 4;
     o.numPlaces = 2;
-    o.sched.mailboxCapacity = 2;
     Runtime rt(o);
     EXPECT_EQ(workloads::fibParallel(rt, n, 10), workloads::fibSerial(n));
 }

@@ -346,7 +346,7 @@ halfSocketTrace()
 sim::SimConfig
 interferenceCfg(InterferencePolicy knob)
 {
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.sched.serving.interference = knob;
     // 2us epochs = ~4.4k cycles: dozens of ladder ticks inside one
     // ~300k-cycle run, so shrink and re-expand both happen in-window.

@@ -521,7 +521,7 @@ TEST(SimServing, RunsAllJobsAndIsByteDeterministic)
     for (int i = 0; i < 3; ++i)
         jobs[i] = {roots[i], at[i], i % 3};
 
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.modelParking = true;
     cfg.sched.parkSpinFailures = 4;
     const sim::ServingResult a =
@@ -556,7 +556,7 @@ TEST(SimServing, LowRateParksHighRateMostlyDoesNot)
     sim::ComputationDag dag;
     for (int i = 0; i < 40; ++i)
         roots.push_back(dag.append(workloads::fibDag(10)));
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.modelParking = true;
     cfg.sched.parkSpinFailures = 4;
 

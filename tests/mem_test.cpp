@@ -318,6 +318,33 @@ TEST(PartedVec, ForEachShardVisitsEveryElementOnce)
         EXPECT_EQ(v[i], 1);
 }
 
+TEST(PartedVec, ForEachShardTasksCarryTheirShardsHome)
+{
+    // The spawn resolves each shard's range to its home socket once and
+    // stores the mask on the task; the executing worker's affinity is
+    // that mask.
+    Runtime rt(partedOptions(2));
+    PartedVec<int> v(rt, 301, 10);
+    std::atomic<uint32_t> homes[2] = {0, 0};
+    std::atomic<uint32_t> against_hint{0};
+    rt.run([&] {
+        v.forEachShard([&](int s, int *, std::size_t) {
+            homes[s].store(Worker::current()->core().affinity());
+        });
+        // A stored data home outranks an explicit place hint elsewhere.
+        TaskGroup tg;
+        tg.spawn(
+            [&] {
+                against_hint.store(Worker::current()->core().affinity());
+            },
+            /*place=*/1, v.shardData(0), v.shardSize(0) * sizeof(int));
+        tg.sync();
+    });
+    EXPECT_EQ(homes[0].load(), 1u << 0);
+    EXPECT_EQ(homes[1].load(), 1u << 1);
+    EXPECT_EQ(against_hint.load(), 1u << 0);
+}
+
 TEST(PartedVec, HeapPolicyShardsAreUnregistered)
 {
     Runtime rt(partedOptions(2, DataHeapPolicy::Heap));

@@ -628,7 +628,7 @@ overloadSetup(int n, double rate_per_sec, uint64_t seed = 7)
 TEST(SimOverload, OutcomeTalliesPartitionTheJobsAndShedOnlyUnderQueueDelay)
 {
     SimOverloadSetup s = overloadSetup(120, 2e6); // far over capacity
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.sched.serving.shed = ShedPolicy::None;
     const sim::ServingResult none =
         sim::simulateServingPacked(s.dag, s.jobs, 4, cfg);
@@ -653,7 +653,7 @@ TEST(SimOverload, OutcomeTalliesPartitionTheJobsAndShedOnlyUnderQueueDelay)
 TEST(SimOverload, RejectPolicyBouncesAtArrivalWhenLanesAreFull)
 {
     SimOverloadSetup s = overloadSetup(120, 2e6);
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.sched.serving.shed = ShedPolicy::Reject;
     for (int c = 0; c < kNumServingClasses; ++c)
         cfg.sched.serving.laneCapacity[c] = 2;
@@ -682,7 +682,7 @@ TEST(SimOverload, DeadlinesExpireQueuedAndLateJobsDeterministically)
         if (i % 7 == 0)
             s.jobs[i].cancelAtCycles = s.jobs[i].arrivalCycles + 500.0;
     }
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     const sim::ServingResult r =
         sim::simulateServingPacked(s.dag, s.jobs, 4, cfg);
     EXPECT_GT(r.expired, 0u);
@@ -700,7 +700,7 @@ TEST(SimOverload, OverloadRunsAreByteDeterministic)
         if (i % 4 == 0)
             s.jobs[i].deadlineCycles =
                 s.jobs[i].arrivalCycles + 50'000.0;
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.modelParking = true;
     cfg.sched.parkSpinFailures = 4;
     cfg.sched.serving.shed = ShedPolicy::QueueDelay;

@@ -83,26 +83,18 @@ struct MockWorld
     }
 
     /**
-     * Steal from @p w's deque: one frame, or a steal-half batch capped
-     * at @p batch_max. One shared semantic for both drivers — the mock
-     * replaces the engines' deque mechanics, not the core's decisions.
-     * @return frames taken (0 == failed probe).
+     * Steal one frame from @p w's deque; false when it is empty. Both
+     * engine shapes share it — the mock replaces the engines' deque
+     * mechanics, not the core's decisions.
      */
-    int
-    takeDeque(int w, bool batch, int batch_max)
+    bool
+    takeDeque(int w)
     {
         const int have = deq[static_cast<std::size_t>(w)];
         if (have == 0)
-            return 0;
-        int take = 1;
-        if (batch) {
-            int extras = (have - 1) / 2;
-            if (extras > batch_max - 1)
-                extras = batch_max - 1;
-            take += extras;
-        }
-        setDeque(w, have - take);
-        return take;
+            return false;
+        setDeque(w, have - 1);
+        return true;
     }
 
     /** Periodic refill: pseudo-random but a pure function of the
@@ -141,7 +133,7 @@ serialize(const StealAction &a)
     if (a.kind == StealAction::Kind::DryPoll)
         return "D";
     s << "P v" << a.victim << " m" << a.checkMailboxFirst << " i"
-      << a.informedConsult << " b" << a.remoteBatch << ":" << a.batchMax;
+      << a.informedConsult;
     return s.str();
 }
 
@@ -168,8 +160,7 @@ replayStep(StealCore &core, MockWorld &world, bool threaded_shape,
         if (a.checkMailboxFirst)
             got = world.takeMailbox(a.victim);
         if (!got)
-            got = world.takeDeque(a.victim, a.remoteBatch, a.batchMax)
-                  > 0;
+            got = world.takeDeque(a.victim);
         core.onStealResult(a, got);
         trace += got ? "|hit" : "|miss";
     }
@@ -225,7 +216,6 @@ SchedPolicy
 fullPolicy()
 {
     SchedPolicy p;
-    p.remoteStealHalf = true;
     p.parkSpinFailures = 4; // park often: exercise the tuner
     return p;
 }

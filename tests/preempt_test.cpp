@@ -536,7 +536,7 @@ TEST(SimPreempt, SaturatedRunsYieldAndStayFullyAccounted)
     // resolve exactly once.
     SimSetup s = servingSetup(120, 2e6,
                               [](int i) { return i % 8 == 0 ? 0 : 2; });
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.sched.serving.preempt = true;
     const sim::ServingResult r =
         sim::simulateServingPacked(s.dag, s.jobs, 4, cfg);
@@ -550,7 +550,7 @@ TEST(SimPreempt, KnobsOnRunsAreByteDeterministic)
 {
     SimSetup s = servingSetup(100, 2e6,
                               [](int i) { return i % 3; });
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.modelParking = true;
     cfg.sched.parkSpinFailures = 4;
     cfg.sched.serving.shed = ShedPolicy::QueueDelay;
@@ -585,7 +585,7 @@ TEST(SimPreempt, AgingPromotesStarvedBatchClaims)
     // Batch heads are eventually claimed via promotion.
     SimSetup s = servingSetup(150, 2e6,
                               [](int i) { return i % 10 == 0 ? 2 : 0; });
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.sched.serving.agingWaitUs = 5;
     const sim::ServingResult r =
         sim::simulateServingPacked(s.dag, s.jobs, 4, cfg);
@@ -597,7 +597,7 @@ TEST(SimPreempt, AgingPromotesStarvedBatchClaims)
 TEST(SimPreempt, UnparkPressureLeadsTheShedCrossing)
 {
     SimSetup s = servingSetup(150, 2e6, [](int i) { return i % 3; });
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.modelParking = true;
     cfg.sched.parkSpinFailures = 4;
     cfg.sched.serving.shed = ShedPolicy::QueueDelay;

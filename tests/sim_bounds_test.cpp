@@ -58,7 +58,6 @@ struct SchedCase
 const SchedCase kScheds[] = {
     {"classic", &SimConfig::classicWs},
     {"numaws", &SimConfig::numaWs},
-    {"hierarchical", &SimConfig::adaptiveNumaWs}, // + steal-half
     // The configuration that ships: informed hierarchical search on
     // the Board parking/PUSHBACK defaults.
     {"shipped", [] { return SimConfig{}; }},
@@ -186,66 +185,43 @@ hintedDag(uint64_t seed)
 }
 
 /**
- * Section IV's top-heavy-deques argument, re-checked with batched
- * mailboxes (capacity > 1). The argument needs (a) every frame's
- * PUSHBACK attempts bounded by the pushing threshold regardless of how
- * many frames can park per worker, and (b) the greedy execution-time
- * bound surviving, since up to capacity frames per worker now bypass
- * the deques. Capacity scales the number of frames in flight through
- * mailboxes — visible as more mailbox deliveries — but both bounds'
- * *shapes* must hold unchanged at capacity 1 and 4.
+ * Section IV's top-heavy-deques argument on a place-hinted dag, where
+ * PUSHBACK actually fires: (a) every frame's PUSHBACK attempts stay
+ * bounded by the pushing threshold, so pushing amortizes against
+ * acquisitions, and (b) the greedy execution-time bound survives frames
+ * waiting in single-entry mailboxes instead of on the deques.
  */
-TEST(SchedulerBounds, MailboxCapacityPreservesSectionFourBounds)
+TEST(SchedulerBounds, HintedDagKeepsSectionFourBounds)
 {
     for (const uint64_t seed : {1ULL, 5ULL}) {
         const ComputationDag dag = hintedDag(seed);
         const Machine m = Machine::paperMachine();
         const WorkSpan ws = dag.workSpan(8.0, 2.0);
-        for (const int capacity : {1, 4}) {
-            SimConfig cfg = SimConfig::numaWs();
-            cfg.seed = seed;
-            cfg.sched.mailboxCapacity = capacity;
-            const SimResult r = simulate(dag, m, 16, cfg);
+        SimConfig cfg = SimConfig::numaWs();
+        cfg.seed = seed;
+        const SimResult r = simulate(dag, m, 16, cfg);
 
-            // (a) Push attempts amortize: each push-triggering event
-            // (steal, mailbox delivery, resume) pays at most
-            // pushThreshold attempts, and the number of such events per
-            // successful acquisition is a constant — independent of the
-            // mailbox capacity.
-            const double acquisitions = static_cast<double>(
-                r.counters.steals + r.counters.mailboxSteals
-                + r.counters.mailboxPops + r.counters.resumes);
-            const double limit =
-                2.0 * cfg.sched.pushThreshold * acquisitions
-                + 2.0 * cfg.sched.pushThreshold;
-            EXPECT_LE(static_cast<double>(r.counters.pushAttempts),
-                      limit)
-                << "capacity=" << capacity << " seed=" << seed;
+        // (a) Push attempts amortize: each push-triggering event
+        // (steal, mailbox delivery, resume) pays at most pushThreshold
+        // attempts, and the number of such events per successful
+        // acquisition is a constant.
+        const double acquisitions = static_cast<double>(
+            r.counters.steals + r.counters.mailboxSteals
+            + r.counters.mailboxPops + r.counters.resumes);
+        const double limit = 2.0 * cfg.sched.pushThreshold * acquisitions
+                             + 2.0 * cfg.sched.pushThreshold;
+        EXPECT_LE(static_cast<double>(r.counters.pushAttempts), limit)
+            << "seed=" << seed;
 
-            // (b) The greedy bound survives frames bypassing the deque.
-            EXPECT_LE(r.elapsedCycles, ws.work / 16 + 40.0 * ws.span)
-                << "capacity=" << capacity << " seed=" << seed;
+        // (b) The greedy bound survives frames bypassing the deque.
+        EXPECT_LE(r.elapsedCycles, ws.work / 16 + 40.0 * ws.span)
+            << "seed=" << seed;
 
-            // Sanity: the knob is live — capacity 4 must be able to
-            // park frames (deliveries counted via pops + steals).
-            EXPECT_GT(r.counters.mailboxPops + r.counters.mailboxSteals,
-                      0u)
-                << "capacity=" << capacity;
-        }
+        // Sanity: the mailboxes are live (deliveries counted via pops
+        // + steals).
+        EXPECT_GT(r.counters.mailboxPops + r.counters.mailboxSteals, 0u)
+            << "seed=" << seed;
     }
-}
-
-TEST(SchedulerBounds, MailboxCapacityDoesNotChangeTheWorkTerm)
-{
-    // Batching changes *where* frames wait, never what executes.
-    const ComputationDag dag = hintedDag(9);
-    SimConfig one = SimConfig::numaWs();
-    SimConfig four = SimConfig::numaWs();
-    four.sched.mailboxCapacity = 4;
-    const SimResult r1 = simulate(dag, Machine::paperMachine(), 16, one);
-    const SimResult r4 = simulate(dag, Machine::paperMachine(), 16, four);
-    EXPECT_EQ(r1.counters.strandsExecuted, r4.counters.strandsExecuted);
-    EXPECT_EQ(r1.counters.spawns, r4.counters.spawns);
 }
 
 TEST(SchedulerBounds, WorkFirstOverheadOnWorkTermIsSmall)
