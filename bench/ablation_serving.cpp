@@ -45,12 +45,6 @@ using namespace numaws::workloads;
 
 namespace {
 
-/** Seeds per arm pooled by the sim mixed/high p99 gate. At
- * --scale=0.25 one 90-job run's p99 is its single worst job; 24 runs
- * pool 2160 jobs, about 21 of them beyond the p99, so the gate reads a
- * tail, not one outlier. */
-constexpr int kTailGateSeeds = 24;
-
 // ---------------------------------------------------------------------
 // Threaded job bodies: small intra-job fork-join computations. The
 // library helpers (fibParallel etc.) wrap rt.run() and so cannot be

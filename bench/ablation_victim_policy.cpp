@@ -13,7 +13,9 @@
  * directly. A second row group,
  * shipped-default, runs the configuration that ships (SimConfig{},
  * whose informed search is on by default) against the same config
- * with flat search on all nine paper dags.
+ * with flat search (shipped-flat) and with spawn-time delivery of
+ * hinted children off (shipped-lazy: places checked only at Figure 5's
+ * steal, sync and resume points) on all nine paper dags.
  *
  *   ./ablation_victim_policy [--scale=0.25] [--cores=32] [--seeds=5]
  *                            [--seed=first] [--threads=2]
@@ -37,7 +39,10 @@
  *     showcase),
  *  4. shipped-default: the geomean over (dag, seed) cells of
  *     SimConfig{} / flat-search SimConfig{} simulated time <= 1.00
- *     (the shipped default is the faster search on the paper dags).
+ *     (the shipped default is the faster search on the paper dags),
+ *  5. shipped-default: the geomean over (dag, seed) cells of
+ *     SimConfig{} / SimConfig{} without spawn-time delivery simulated
+ *     time <= 0.95 (delivering hinted spawns is a clear win).
  */
 #include <algorithm>
 #include <cmath>
@@ -88,7 +93,7 @@ configOf(const PolicyRow &row, uint64_t seed)
     return c;
 }
 
-/** Geomean elapsed ratio of the shipped default over flat search. */
+/** Geomean elapsed ratio of the shipped default over one variant. */
 struct ShippedRatio
 {
     double logSum = 0.0;
@@ -96,6 +101,21 @@ struct ShippedRatio
     int won = 0; ///< cells where the shipped default is strictly faster
 
     double geomean() const { return std::exp(logSum / cells); }
+
+    void
+    add(double shipped_s, double variant_s)
+    {
+        logSum += std::log(shipped_s / variant_s);
+        ++cells;
+        won += shipped_s < variant_s ? 1 : 0;
+    }
+};
+
+/** The shipped default against flat search and against lazy places. */
+struct ShippedRatios
+{
+    ShippedRatio flat;
+    ShippedRatio lazy;
 };
 
 JsonRow
@@ -124,50 +144,62 @@ simRow(const std::string &workload, const char *policy, int cores,
 }
 
 /** The shipped-default group: SimConfig{} against SimConfig{} with flat
- * search on every paper dag (4-socket, partitioned, hinted), one row
- * per (dag, seed, side). */
-ShippedRatio
+ * search and against SimConfig{} without spawn-time delivery on every
+ * paper dag (4-socket, partitioned, hinted), one row per (dag, seed,
+ * side). */
+ShippedRatios
 shippedRows(JsonReport &report, const BenchArgs &args, uint64_t first_seed,
             int num_seeds)
 {
-    ShippedRatio ratio;
-    std::printf("\nShipped default vs flat search, %d cores, %d seeds:\n",
+    ShippedRatios ratios;
+    std::printf("\nShipped default vs flat search and lazy places, %d "
+                "cores, %d seeds:\n",
                 args.cores, num_seeds);
-    Table t({"workload", "T(shipped) ms", "T(flat) ms", "ratio", "won"});
+    Table t({"workload", "T(shipped) ms", "T(flat) ms", "ratio", "won",
+             "T(lazy) ms", "ratio", "won"});
     for (const SimWorkload &wl : simWorkloads(args.scale)) {
         if (!args.selected(wl))
             continue;
         const sim::ComputationDag dag = wl.build(
             socketsFor(args.cores), Placement::Partitioned, true);
-        double shipped_mean = 0.0, flat_mean = 0.0;
-        int won = 0;
+        double shipped_mean = 0.0, flat_mean = 0.0, lazy_mean = 0.0;
+        const int flat_won = ratios.flat.won, lazy_won = ratios.lazy.won;
         for (int s = 0; s < num_seeds; ++s) {
             sim::SimConfig shipped;
             shipped.seed = first_seed + 7919ULL * s;
             sim::SimConfig flat = shipped;
             flat.sched.hierarchicalSteals = false;
+            sim::SimConfig lazy = shipped;
+            lazy.sched.deliverHintedSpawns = false;
             const sim::SimResult rs =
                 sim::simulatePacked(dag, args.cores, shipped);
             const sim::SimResult rf =
                 sim::simulatePacked(dag, args.cores, flat);
+            const sim::SimResult rl =
+                sim::simulatePacked(dag, args.cores, lazy);
             report.addRow(simRow(wl.name, "shipped-default", args.cores,
                                  shipped.seed, rs));
             report.addRow(simRow(wl.name, "shipped-flat", args.cores,
                                  shipped.seed, rf));
+            report.addRow(simRow(wl.name, "shipped-lazy", args.cores,
+                                 shipped.seed, rl));
             shipped_mean += rs.elapsedSeconds / num_seeds;
             flat_mean += rf.elapsedSeconds / num_seeds;
-            ratio.logSum += std::log(rs.elapsedSeconds / rf.elapsedSeconds);
-            ++ratio.cells;
-            won += rs.elapsedSeconds < rf.elapsedSeconds ? 1 : 0;
+            lazy_mean += rl.elapsedSeconds / num_seeds;
+            ratios.flat.add(rs.elapsedSeconds, rf.elapsedSeconds);
+            ratios.lazy.add(rs.elapsedSeconds, rl.elapsedSeconds);
         }
-        ratio.won += won;
+        const std::string of = "/" + std::to_string(num_seeds);
         t.addRow({wl.name, Table::fmtSeconds(shipped_mean * 1e3),
                   Table::fmtSeconds(flat_mean * 1e3),
                   Table::fmtRatio(shipped_mean / flat_mean),
-                  std::to_string(won) + "/" + std::to_string(num_seeds)});
+                  std::to_string(ratios.flat.won - flat_won) + of,
+                  Table::fmtSeconds(lazy_mean * 1e3),
+                  Table::fmtRatio(shipped_mean / lazy_mean),
+                  std::to_string(ratios.lazy.won - lazy_won) + of});
     }
     t.print();
-    return ratio;
+    return ratios;
 }
 
 /** The same policy grid on the threaded runtime (fib + heat), so the
@@ -296,8 +328,8 @@ main(int argc, char **argv)
         }
         t.print();
     }
-    const ShippedRatio shipped =
-        skip_sim ? ShippedRatio{}
+    const ShippedRatios shipped =
+        skip_sim ? ShippedRatios{}
                  : shippedRows(report, args, first_seed, num_seeds);
 
     if (!skip_threaded && args.only.empty()) {
@@ -329,9 +361,13 @@ main(int argc, char **argv)
                   matmul_m[kInformed].elapsed / matmul_m[kFlat].elapsed,
                   1.005);
     std::printf("  shipped default faster than flat in %d of %d cells\n",
-                shipped.won, shipped.cells);
+                shipped.flat.won, shipped.flat.cells);
     ok &= gateMax("shipped-default / flat elapsed (geomean)",
-                  shipped.geomean(), 1.00);
+                  shipped.flat.geomean(), 1.00);
+    std::printf("  shipped default faster than lazy in %d of %d cells\n",
+                shipped.lazy.won, shipped.lazy.cells);
+    ok &= gateMax("shipped-default / shipped-lazy elapsed (geomean)",
+                  shipped.lazy.geomean(), 0.95);
     if (!ok) {
         std::printf("FAIL: victim-policy acceptance gate violated\n");
         return 1;

@@ -252,6 +252,13 @@ simSeed(uint64_t first_seed, int s)
     return first_seed + 7919ULL * static_cast<uint64_t>(s);
 }
 
+/** Seeds per arm pooled by the sim tail gates (ablation_serving's
+ * mixed/high p99, ablation_overload's horizon growth). At
+ * --scale=0.25 one 90-job run's p99 is its single worst job; 24 runs
+ * pool 2160 jobs, about 21 of them beyond the p99, so a gate reads a
+ * tail, not one outlier. */
+constexpr int kTailGateSeeds = 24;
+
 /** Every job's tree merged into one dag, one root per job. */
 struct SimMix
 {

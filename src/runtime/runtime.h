@@ -164,6 +164,9 @@ struct BasicWorkerCounters
     Count pushbackAttempts = 0;
     Count pushbackSuccesses = 0;
     Count pushbackGiveUps = 0; ///< threshold reached, ran it ourselves
+    /** Hinted children deposited on their place at spawn
+     * (SchedPolicy::deliverHintedSpawns); not PUSHBACK attempts. */
+    Count spawnDeliveries = 0;
     Count tasksExecuted = 0;
     Count tasksOnHintedPlace = 0; ///< hinted tasks run where hinted
     /** Always 0: steals move one frame (the paper's transport). Kept
@@ -335,9 +338,10 @@ class TaskGroup
     void
     onChildDone(const Worker *w)
     {
-        // _owner was written before the child's deque push, and every
-        // route off the deque (steal, mailbox) is an
-        // acquire chain from that push, so a remote finisher reads it
+        // _owner was written before the child's deque push or
+        // spawn-time mailbox deposit, and every route to a finisher
+        // (steal, mailbox take, both acq_rel or acquire) is an acquire
+        // chain from that publication, so a remote finisher reads it
         // race-free. The fetch_add is the finisher's last touch: the
         // owner may return from sync and destroy the group right after.
         if (w == _owner)
@@ -578,6 +582,14 @@ class Worker
      * pushing threshold is reached (caller must run it).
      */
     bool pushBack(TaskBase *task);
+    /**
+     * Spawn-time delivery (SchedPolicy::deliverHintedSpawns): deposit
+     * the fresh child @p task, hinted for another place, in a mailbox
+     * there when the core picks a receiver. Returns true if handed off;
+     * false keeps the spawn work-first (caller pushes it on the own
+     * deque).
+     */
+    bool deliverSpawn(TaskBase *task);
     /// @}
 
   private:
@@ -1046,12 +1058,17 @@ TaskGroup::spawn(F &&fn, Place place, const void *data,
     }
     ++_outstanding;
     ++w->counters().spawns;
-    w->pushTask(task);
+    // A child hinted for another place may go straight to a mailbox
+    // there (its finisher is then remote: the _remoteDone path); every
+    // other spawn is work-first. An unhinted spawn pays the
+    // isConcretePlace compare alone.
+    if (!(w->core().deliversSpawnTo(place) && w->deliverSpawn(task)))
+        w->pushTask(task);
     // Preemption boundary: the child just pushed is this job's
-    // checkpointed continuation — it sits on the deque where thieves
-    // can claim it — so if a higher-class job is waiting, run it
-    // inline now and resume the spawner afterwards. One cached bool
-    // when preemption is off (work-first).
+    // checkpointed continuation — it sits on the deque (or in a
+    // mailbox) where thieves can claim it — so if a higher-class job is
+    // waiting, run it inline now and resume the spawner afterwards. One
+    // cached bool when preemption is off (work-first).
     if (w->yieldPending())
         w->serviceYield();
 }

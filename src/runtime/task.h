@@ -66,7 +66,8 @@ class TaskBase
     bool stolen() const { return _stolen; }
     void markStolen() { _stolen = true; }
 
-    /** Failed PUSHBACK attempts so far (capped by the pushing threshold). */
+    /** Rejected PUSHBACK deposits so far (capped by the pushing
+     * threshold); a deposit that lands is not counted. */
     uint32_t pushCount() const { return _pushCount; }
     void incPushCount() { ++_pushCount; }
 

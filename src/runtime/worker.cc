@@ -21,6 +21,7 @@ BasicWorkerCounters<Count>::merge(const BasicWorkerCounters<O> &o)
     pushbackAttempts += o.pushbackAttempts;
     pushbackSuccesses += o.pushbackSuccesses;
     pushbackGiveUps += o.pushbackGiveUps;
+    spawnDeliveries += o.spawnDeliveries;
     tasksExecuted += o.tasksExecuted;
     tasksOnHintedPlace += o.tasksOnHintedPlace;
     stealHalfTasks += o.stealHalfTasks;
@@ -224,9 +225,10 @@ Worker::pushBack(TaskBase *task)
     const auto [first, last] = _runtime.workersOfPlace(target);
     if (first >= last)
         return false;
-    // The frame's lifetime push count only grows, so the constant cap
-    // bounds the loop; at the cap the frame takes the give-up path,
-    // where load balance wins over locality.
+    // The frame's count of rejected deposits only grows, so the
+    // constant cap bounds the loop; at the cap the frame takes the
+    // give-up path, where load balance wins over locality. A deposit
+    // that lands is not counted, so a frame may be relayed again.
     const auto threshold =
         static_cast<uint32_t>(_core.policy().pushThreshold);
     while (task->pushCount() < threshold) {
@@ -247,6 +249,29 @@ Worker::pushBack(TaskBase *task)
     }
     ++_counters.pushbackGiveUps;
     return false;
+}
+
+bool
+Worker::deliverSpawn(TaskBase *task)
+{
+    const Place target = task->place();
+    if (target >= _runtime.numPlaces())
+        return false; // hint beyond this runtime: ignore
+    const auto [first, last] = _runtime.workersOfPlace(target);
+    const int receiver =
+        _core.pickSpawnReceiver(first, last, target, [this](int w) {
+            return _runtime.worker(w).parkedNow();
+        });
+    // A lagging board makes tryPut reject: the spawn stays local, and
+    // the child's PUSHBACK budget is untouched either way.
+    if (receiver < 0 || !_runtime.worker(receiver).mailbox().tryPut(task))
+        return false;
+    ++_counters.spawnDeliveries;
+    // Wake protocol as in pushBack: tryPut woke the receiver's socket
+    // on its occupancy edge under board parking.
+    if (_core.onPublishEdge(false) == WakeDirective::Global)
+        _runtime.notifyWork();
+    return true;
 }
 
 void

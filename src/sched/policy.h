@@ -17,6 +17,12 @@
  * threads vs events, cost charging, wake plumbing) and engine-only
  * fidelity knobs (the simulator's cycle costs, the runtime's thread
  * pinning). A knob belongs here iff both engines must agree on it.
+ *
+ * The shipped defaults go beyond the paper in four places: informed
+ * hierarchical victim search, board-edge parking, board-guided PUSHBACK
+ * receivers, and spawn-time delivery of place-hinted children
+ * (deliverHintedSpawns — the one place decision Figure 5 does not
+ * make). paperBaseline() turns all four off.
  */
 #ifndef NUMAWS_SCHED_POLICY_H
 #define NUMAWS_SCHED_POLICY_H
@@ -257,8 +263,25 @@ struct SchedPolicy
      */
     bool coinFlip = true;
     /** Constant pushing threshold (Section III-B): the cap on a frame's
-     * lifetime PUSHBACK attempts. */
+     * *rejected* PUSHBACK deposits. Both engines count only rejections,
+     * so a frame that is deposited can be relayed again without limit
+     * (mailbox -> thief on the wrong socket -> another mailbox). */
     int pushThreshold = 4;
+    /**
+     * Spawn-time delivery of place-hinted children (not in Figure 5,
+     * which checks places only at a steal, a nontrivial sync or a
+     * resume): a child hinted for another place is deposited in a
+     * mailbox there when the OccupancyBoard shows that place with no
+     * work at all and the picked receiver is awake — one board-guided
+     * pick, no blind probe, no PUSHBACK budget consumed. Otherwise the
+     * spawn stays work-first: a busy place would leave the child
+     * waiting behind its receiver's chain, and a sleeping receiver
+     * would cost a socket-wide wake for one frame
+     * (StealCore::pickSpawnReceiver). The paper baseline (false) runs a
+     * mismatched child on the spawner with every descendant its worker
+     * pops locally.
+     */
+    bool deliverHintedSpawns = true;
     /** Hierarchical level-by-level victim search with escalation,
      * informed by the OccupancyBoard and data-home affinity. Flat
      * search (false) is the paper's protocol, kept by paperBaseline(). */
@@ -307,7 +330,8 @@ struct SchedPolicy
 
     /**
      * The paper-literal baseline: Figure 2/Figure 5 semantics with flat
-     * victim search and the PR 0-3 wake/receiver protocols (periodic
+     * victim search, work-first spawns of every child (no spawn-time
+     * delivery) and the PR 0-3 wake/receiver protocols (periodic
      * timer parking, blind random PUSHBACK receivers). Ablation
      * baselines and the paper-faithful SimConfig factories request
      * these explicitly so the shipped defaults above never leak into a
@@ -318,6 +342,7 @@ struct SchedPolicy
     {
         SchedPolicy p;
         p.hierarchicalSteals = false;
+        p.deliverHintedSpawns = false;
         p.parkPolicy = ParkPolicy::Timer;
         p.pushTarget = PushTarget::Random;
         return p;

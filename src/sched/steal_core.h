@@ -5,12 +5,13 @@
  * Everything that *chooses* on the steal path lives here — dry-poll
  * cadence, hierarchical/informed victim sampling, the mailbox-vs-deque
  * coin flip and its informed override, escalation bookkeeping, PUSHBACK
- * receiver selection, the park-after-N-failures streak, and the
- * EWMA-tuned parking constants. The threaded runtime (runtime/worker.cc)
- * and the simulator (sim/scheduler.cc) only *execute* the returned
- * actions (probe victim V, poll the board, push to mailbox M, park on
- * socket S) against their own mechanics, so a policy decision exists in
- * exactly one place and the engines cannot diverge.
+ * and spawn-time delivery receiver selection, the park-after-N-failures
+ * streak, and the EWMA-tuned parking constants. The threaded runtime
+ * (runtime/worker.cc) and the simulator (sim/scheduler.cc) only
+ * *execute* the returned actions (probe victim V, poll the board, push
+ * to mailbox M, park on socket S) against their own mechanics, so a
+ * policy decision exists in exactly one place and the engines cannot
+ * diverge.
  *
  * Determinism contract: for a fixed SchedPolicy, EngineView contents,
  * seed, and call sequence, the core draws from its private RNG in a
@@ -202,6 +203,8 @@ class AtomicYieldFlag
  *  - PUSHBACK: per attempt, compare the frame's push count against
  *    policy().pushThreshold and pick a receiver with
  *    pickPushReceiver().
+ *  - hinted spawn: if deliversSpawnTo(place), one pickSpawnReceiver()
+ *    pick; a receiver >= 0 gets the child in its mailbox.
  *  - parking: noteFruitless() per fruitless step, noteProgress() when
  *    work was found; takeParkRequest() consumes the park decision;
  *    parkTimeoutUs() is the (tuned) bound; onParkOutcome() feeds the
@@ -262,6 +265,51 @@ class StealCore
      */
     int pickPushReceiver(int first, int last, int self_in_range,
                          int target_socket);
+    /// @}
+
+    /** @name Spawn-time delivery (SchedPolicy::deliverHintedSpawns) */
+    /// @{
+    /**
+     * Should a child hinted at @p place try to leave this worker at
+     * spawn? Only for a concrete place other than this worker's, with
+     * delivery and mailboxes on. No board read and no RNG draw, so an
+     * unhinted spawn pays the isConcretePlace compare alone.
+     */
+    bool
+    deliversSpawnTo(Place place) const
+    {
+        return isConcretePlace(place) && place != _socket
+               && _policy.deliverHintedSpawns && _policy.useMailboxes;
+    }
+
+    /**
+     * Receiver for a spawn-time delivery among workers [first, last) of
+     * @p place, or -1 to keep the spawn work-first. One board-guided
+     * attempt, with no blind fallback and no PUSHBACK budget consumed:
+     *  - the board must show the place with no work at all (every deque
+     *    and mailbox bit clear). On a busy place the child would wait
+     *    behind the receiver's own chain; under saturation that costs
+     *    throughput, locality and deadlines, and work-first wins;
+     *  - the receiver is a uniform pick there (every mailbox on a dry
+     *    place advertises room); a receiver that @p asleep reports
+     *    parked keeps the spawn local too: its wake would rouse every
+     *    sleeper on the socket for a single frame.
+     * The threaded board may lag: a full mailbox then rejects the
+     * deposit and the spawn stays local.
+     */
+    template <typename AsleepFn>
+    int
+    pickSpawnReceiver(int first, int last, int place, AsleepFn asleep)
+    {
+        if (first >= last || !boardUsable()
+            || _view.board->socketHasWork(place))
+            return -1;
+        const int receiver =
+            first
+            + static_cast<int>(_rng.nextBounded(
+                static_cast<uint64_t>(last - first)));
+        return asleep(receiver) ? -1 : receiver;
+    }
     /// @}
 
     /** @name Parking decisions */
@@ -357,8 +405,9 @@ class StealCore
      * Turn a data-home socket mask (the same encoding setAffinity
      * takes) into a spawn-time placement hint: the lowest homing
      * socket, or kAnyPlace for an empty mask. Static and deterministic
-     * — the spawn fast path must not consume RNG (neither engine's
-     * spawn path draws randomness; the engine-parity contract).
+     * — the spawn fast path must not consume RNG (only a spawn-time
+     * delivery draws, through pickSpawnReceiver, in both engines alike;
+     * the engine-parity contract).
      */
     static Place
     placeFromAffinity(uint32_t socket_mask)

@@ -30,8 +30,11 @@ struct SimCounters
     uint64_t steals = 0;         ///< successful deque steals (promotions)
     uint64_t mailboxSteals = 0;  ///< frames a thief took from a mailbox
     uint64_t mailboxPops = 0;    ///< frames a worker took from its own box
-    uint64_t pushAttempts = 0;
+    uint64_t pushAttempts = 0;   ///< PUSHBACK attempts only
     uint64_t pushSuccesses = 0;
+    /** Hinted children deposited on their place at spawn
+     * (SchedPolicy::deliverHintedSpawns); not PUSHBACK attempts. */
+    uint64_t spawnDeliveries = 0;
     uint64_t resumes = 0;        ///< suspended-parent resumptions
     uint64_t levelSkips = 0;     ///< dry levels skipped via the board
     uint64_t boardDryPolls = 0;  ///< probes skipped on an all-dry board

@@ -21,7 +21,7 @@ struct FrameState
     bool suspended = false; ///< parked at a nontrivial sync
     int32_t joinCount = 0;  ///< outstanding stolen-away children
     uint32_t resumeItem = 0;
-    uint32_t pushCount = 0; ///< PUSHBACK attempts (lifetime, per paper)
+    uint32_t pushCount = 0; ///< rejected PUSHBACK deposits (lifetime)
 };
 
 /** A stealable execution state: frame + next item. */
@@ -66,6 +66,9 @@ struct CoreState
     /** @name Parking model (SimConfig::modelParking only) */
     /// @{
     bool parked = false;
+    /** Sleeping out an interference-retirement epoch (the threaded
+     * Worker::retirePark); only ever set with a trace. */
+    bool retiredAsleep = false;
     /** The pending wake is a targeted socket-edge wake, not a timeout. */
     bool boardWakePending = false;
     double parkStart = 0.0;
@@ -230,6 +233,32 @@ class Simulation
             ++fs.pushCount;
         }
         return false;
+    }
+
+    /**
+     * Spawn-time delivery (SchedPolicy::deliverHintedSpawns): deposit
+     * the fresh child @p cont in a mailbox on its hinted place when the
+     * core picks a receiver there. Returns true if handed off.
+     */
+    bool
+    deliverSpawn(int core, Continuation cont)
+    {
+        const Place place = _dag.frame(cont.frame).place;
+        StealCore &brain = _cores[core].brain;
+        if (!brain.deliversSpawnTo(place) || !placeMismatch(core, place))
+            return false;
+        const auto [first, last] = coresOfSocket(place);
+        const int receiver =
+            brain.pickSpawnReceiver(first, last, place, [this](int w) {
+                return _cores[w].parked || _cores[w].retiredAsleep;
+            });
+        if (receiver < 0)
+            return false;
+        // The board is exact here: a dry place has empty mailboxes.
+        NUMAWS_ASSERT(!_cores[receiver].mailbox.valid());
+        mailboxDeposit(receiver, cont, core);
+        ++_counters.spawnDeliveries;
+        return true;
     }
 
     /** One scheduling step for @p core; returns (cost, charge). */
@@ -840,22 +869,43 @@ Simulation::stepExecute(int core)
       }
       case ItemKind::Spawn: {
         ++_counters.spawns;
-        // Push the continuation; descend into the child (Figure 2 lines
-        // 1-2). This is continuation stealing: the child runs here, the
-        // parent's remainder becomes stealable.
-        dequePushBack(core, Continuation{c.cur.frame, c.cur.item + 1});
         const FrameId child = f.child(item);
-        c.cur = Continuation{child, _dag.frame(child).itemBegin};
+        const Continuation child_cont{child, _dag.frame(child).itemBegin};
+        // Spawn-time delivery of a child hinted elsewhere. Only from the
+        // bottom of the deque: a frame that may suspend must have no
+        // ancestor continuation left on this deque, or an unrelated
+        // chain would later run above it and break the ancestor-chain
+        // invariant stepReturn pops by. The parent is then promoted as
+        // if its continuation had been stolen, and the step (the spawn
+        // plus one receiver pick) is scheduling time.
+        Charge charge = Charge::Work;
+        double cost = _cfg.spawnCost;
+        if (c.deq.empty() && deliverSpawn(core, child_cont)) {
+            FrameState &fs = _frames[c.cur.frame];
+            fs.stolen = true;
+            ++fs.joinCount;
+            ++c.cur.item;
+            charge = Charge::Sched;
+            cost += _cfg.pushAttemptCost;
+        } else {
+            // Push the continuation; descend into the child (Figure 2
+            // lines 1-2). This is continuation stealing: the child runs
+            // here, the parent's remainder becomes stealable.
+            dequePushBack(core,
+                          Continuation{c.cur.frame, c.cur.item + 1});
+            c.cur = child_cont;
+        }
         // Preemption boundary (TaskGroup::spawn's yieldPending check):
-        // a raised directive checkpoints the fresh child onto the
-        // private preempted stash — the continuation just pushed above
-        // stays stealable — and sends this core to the scheduling loop
-        // to claim the higher-class job. One relaxed flag read when the
-        // knob is on; nothing at all when it is off.
+        // a raised directive checkpoints the current continuation onto
+        // the private preempted stash — whatever the spawn left on the
+        // deque or in a mailbox stays stealable — and sends this core
+        // to the scheduling loop to claim the higher-class job. One
+        // relaxed flag read when the knob is on; nothing at all when
+        // it is off.
         if (serving() && _cfg.sched.serving.preempt
             && c.brain.yieldRequested())
             maybeYield(core);
-        return {_cfg.spawnCost, Charge::Work};
+        return {cost, charge};
       }
       case ItemKind::Sync: {
         FrameState &fs = _frames[c.cur.frame];
@@ -1080,6 +1130,7 @@ Simulation::run()
             wakeParked(ev.core, ev.time);
             continue;
         }
+        c.retiredAsleep = false;
         // Adaptation verdict (the sim's Worker::retirePark): a core
         // retired by the ladder sleeps one epoch charged idle instead
         // of claiming or stealing — but only once its own chain and
@@ -1094,6 +1145,7 @@ Simulation::run()
             && _interference.workerRetired(socketOf(ev.core),
                                            rankFromTop(ev.core))) {
             c.clock = ev.time;
+            c.retiredAsleep = true;
             c.idleCycles += _epochCycles;
             _counters.parkedCycles +=
                 static_cast<uint64_t>(_epochCycles);

@@ -13,6 +13,15 @@
  * classic and NUMA-WS schedulers are the same engine under different
  * SimConfig knobs, so ablations toggle one mechanism at a time.
  *
+ * One step is not in Figure 5: under SchedPolicy::deliverHintedSpawns
+ * (on in SimConfig{}, off in the paper factories) a spawn whose child
+ * is hinted for another socket, made from the bottom of the core's
+ * deque, may deposit the child in a mailbox on that socket instead of
+ * running it; the parent is promoted as if its continuation had been
+ * stolen. The bottom-of-deque precondition keeps continuation
+ * stealing's ancestor-chain invariant: a frame that may suspend has no
+ * ancestor continuation left on its core's deque.
+ *
  * Because this engine really steals *continuations* (a stolen frame's
  * execution state is a (frame, item) pair), it reproduces the paper's
  * protocol more faithfully than any library runtime can; every evaluation

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -117,6 +118,79 @@ TEST(HierarchicalRuntime, HintedWorkCompletesUnderHierarchicalKnobs)
     const RuntimeStats stats = rt.stats();
     EXPECT_GE(stats.counters.tasksExecuted, 256u);
     EXPECT_GT(sum.load(), 0);
+}
+
+TEST(HierarchicalRuntime, HintedSpawnsDeliveredAcrossPlacesJoinAndThrow)
+{
+    // The root spawns children hinted for the place it does not run on,
+    // so each spawn takes the delivery branch; one child throws. Every
+    // child must still run exactly once, the join must wait for all of
+    // them, and the exception must reach the sync. Delivery only goes
+    // to awake workers, so idle workers spin instead of parking and the
+    // root waits until the other place's workers are up.
+    RuntimeOptions o;
+    o.numWorkers = 4;
+    o.numPlaces = 2;
+    o.seed = 11;
+    o.sched.parkSpinFailures = 1 << 20;
+    Runtime rt(o);
+    ASSERT_TRUE(o.sched.deliverHintedSpawns);
+
+    constexpr int kChildren = 64;
+    constexpr int kThrower = 17;
+    std::vector<int64_t> out(kChildren, -1);
+    std::atomic<int> ran{0};
+    bool caught = false;
+    rt.run([&] {
+        const Place away = 1 - Worker::current()->place();
+        const auto [first, last] = rt.workersOfPlace(away);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        for (int w = first; w < last; ++w)
+            while (rt.worker(w).parkedNow()
+                   && std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(100));
+        TaskGroup g;
+        for (int i = 0; i < kChildren; ++i) {
+            g.spawn(
+                [&out, &ran, i] {
+                    ran.fetch_add(1, std::memory_order_relaxed);
+                    if (i == kThrower)
+                        throw std::runtime_error("child failed");
+                    int64_t acc = 0;
+                    for (int k = 0; k < 500; ++k)
+                        acc += (i * 13 + k) % 5;
+                    out[static_cast<std::size_t>(i)] = acc;
+                },
+                away);
+        }
+        try {
+            g.sync();
+        } catch (const std::runtime_error &) {
+            caught = true;
+            // The join completed before the rethrow.
+            EXPECT_EQ(ran.load(std::memory_order_relaxed), kChildren);
+        }
+    });
+
+    EXPECT_TRUE(caught);
+    EXPECT_EQ(ran.load(), kChildren);
+    for (int i = 0; i < kChildren; ++i) {
+        if (i == kThrower)
+            continue;
+        int64_t acc = 0;
+        for (int k = 0; k < 500; ++k)
+            acc += (i * 13 + k) % 5;
+        EXPECT_EQ(out[static_cast<std::size_t>(i)], acc) << "child " << i;
+    }
+    // The first spawn finds the other place dry and awake, so at least
+    // one child is delivered; none is delivered twice.
+    const RuntimeStats stats = rt.stats();
+    EXPECT_GE(stats.counters.spawnDeliveries, 1u);
+    EXPECT_LE(stats.counters.spawnDeliveries,
+              static_cast<uint64_t>(kChildren));
+    EXPECT_EQ(stats.counters.spawns, static_cast<uint64_t>(kChildren));
 }
 
 TEST(HierarchicalRuntime, FibMatchesSerialUnderBothSearches)

@@ -17,6 +17,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -110,6 +111,18 @@ struct MockWorld
         }
     }
 
+    /** Empty every deque and mailbox of @p socket (it went idle). */
+    void
+    drainSocket(int socket)
+    {
+        for (int w = 0; w < dist.numWorkers(); ++w) {
+            if (dist.socketOfWorker(w) == socket) {
+                setDeque(w, 0);
+                setMail(w, 0);
+            }
+        }
+    }
+
     /** Workers [first, last) of @p socket (even-spread packing). */
     std::pair<int, int>
     workersOfSocket(int socket) const
@@ -193,6 +206,34 @@ replayStep(StealCore &core, MockWorld &world, bool threaded_shape,
         }
     }
 
+    // Every 5th step spawns a child hinted for the next socket over:
+    // the spawn-time delivery decision (threaded: TaskGroup::spawn ->
+    // Worker::deliverSpawn; sim: the Spawn step's deliverSpawn). Both
+    // shapes deposit when the core names a receiver, which the exact
+    // board guarantees has an empty mailbox.
+    if (step % 5 == 0) {
+        const int sockets = world.board.numSockets();
+        const Place hint =
+            static_cast<Place>((core.socket() + 1) % sockets);
+        if (step % 35 == 0)
+            world.drainSocket(hint); // let some spawns find it dry
+        if (core.deliversSpawnTo(hint)) {
+            const auto [first, last] = world.workersOfSocket(hint);
+            // Every third worker sleeps, rotating with the step.
+            const int receiver = core.pickSpawnReceiver(
+                first, last, hint,
+                [step](int w) { return (w + step) % 3 == 0; });
+            trace += " spawn r" + std::to_string(receiver);
+            if (receiver >= 0)
+                world.setMail(receiver,
+                              world.mail[static_cast<std::size_t>(
+                                  receiver)]
+                                  + 1);
+        } else {
+            trace += " spawn local";
+        }
+    }
+
     // Park protocol: fruitless steps feed the streak; a park request
     // resolves immediately against the board (the mock's "wake").
     if (got) {
@@ -258,9 +299,17 @@ TEST(EngineParity, DriversIssueByteIdenticalActionSequences)
     EXPECT_EQ(ct.dryPolls, cs.dryPolls);
     EXPECT_EQ(ct.levelSkips, cs.levelSkips);
     EXPECT_EQ(ct.escalations, cs.escalations);
-    // And the replay genuinely exercised the informed machinery.
+    // And the replay genuinely exercised the informed machinery,
+    // including spawn-time deliveries that landed.
     EXPECT_GT(ct.stealAttempts, 0u);
     EXPECT_GT(ct.dryPolls + ct.levelSkips, 0u);
+    EXPECT_EQ(threaded.find(" spawn local"), std::string::npos);
+    int delivered = 0, kept = 0;
+    for (std::size_t at = threaded.find(" spawn r"); at != std::string::npos;
+         at = threaded.find(" spawn r", at + 1))
+        ++(threaded[at + 8] == '-' ? kept : delivered);
+    EXPECT_GT(delivered, 0);
+    EXPECT_GT(kept, 0);
 }
 
 TEST(EngineParity, HoldsAcrossSeedsWorkersAndPaperBaseline)
@@ -308,6 +357,86 @@ TEST(SchedPolicyDefaults, ShippedSearchIsInformedPaperFactoriesAreFlat)
     EXPECT_FALSE(sim::SimConfig::numaWs().sched.hierarchicalSteals);
     EXPECT_FALSE(sim::SimConfig::classicWs().sched.hierarchicalSteals);
     EXPECT_FALSE(sim::SimConfig::serial().sched.hierarchicalSteals);
+}
+
+TEST(SchedPolicyDefaults, ShippedSpawnsDeliverPaperFactoriesStayLazy)
+{
+    // Spawn-time delivery of hinted children ships in both engines...
+    EXPECT_TRUE(SchedPolicy{}.deliverHintedSpawns);
+    EXPECT_TRUE(RuntimeOptions{}.sched.deliverHintedSpawns);
+    EXPECT_TRUE(sim::SimConfig{}.sched.deliverHintedSpawns);
+    // ...while the paper's Figure 5 checks places only lazily.
+    EXPECT_FALSE(SchedPolicy::paperBaseline().deliverHintedSpawns);
+    EXPECT_FALSE(sim::SimConfig::numaWs().sched.deliverHintedSpawns);
+    EXPECT_FALSE(sim::SimConfig::classicWs().sched.deliverHintedSpawns);
+    EXPECT_FALSE(sim::SimConfig::serial().sched.deliverHintedSpawns);
+}
+
+// ---------------------------------------------------------------------
+// Spawn-time delivery decisions
+// ---------------------------------------------------------------------
+
+TEST(StealCoreSpawn, DeliversOnlyConcreteHintsForOtherPlaces)
+{
+    const Machine machine = Machine::paperMachineSubset(16);
+    SchedPolicy shipped;
+    StealDistribution dist(machine, 16, shipped.biasWeights);
+    OccupancyBoard board(16, dist.workerSockets());
+    const int self = 0;
+    const int socket = dist.socketOfWorker(self);
+    const StealCore core(shipped, EngineView{&dist, &board}, self, socket,
+                         1);
+    EXPECT_FALSE(core.deliversSpawnTo(kAnyPlace));
+    EXPECT_FALSE(core.deliversSpawnTo(static_cast<Place>(socket)));
+    EXPECT_TRUE(core.deliversSpawnTo(static_cast<Place>(socket + 1)));
+
+    SchedPolicy off = shipped;
+    off.deliverHintedSpawns = false;
+    const StealCore lazy(off, EngineView{&dist, &board}, self, socket, 1);
+    EXPECT_FALSE(lazy.deliversSpawnTo(static_cast<Place>(socket + 1)));
+    SchedPolicy classic = shipped;
+    classic.useMailboxes = false;
+    const StealCore ws(classic, EngineView{&dist, &board}, self, socket,
+                       1);
+    EXPECT_FALSE(ws.deliversSpawnTo(static_cast<Place>(socket + 1)));
+}
+
+TEST(StealCoreSpawn, DeliversOnlyToAwakeWorkersOfDryPlaces)
+{
+    const Machine machine = Machine::paperMachineSubset(16);
+    SchedPolicy shipped;
+    StealDistribution dist(machine, 16, shipped.biasWeights);
+    OccupancyBoard board(16, dist.workerSockets());
+    StealCore core(shipped, EngineView{&dist, &board}, 0,
+                   dist.socketOfWorker(0), 1);
+    const int target = dist.socketOfWorker(15);
+    int first = 16, last = 0;
+    for (int w = 0; w < 16; ++w)
+        if (dist.socketOfWorker(w) == target) {
+            first = std::min(first, w);
+            last = std::max(last, w + 1);
+        }
+    ASSERT_LT(first, last);
+    const auto awake = [](int) { return false; };
+    // A dry place: any of its workers may receive the child.
+    for (int i = 0; i < 16; ++i) {
+        const int r = core.pickSpawnReceiver(first, last, target, awake);
+        EXPECT_GE(r, first);
+        EXPECT_LT(r, last);
+    }
+    // A sleeping receiver keeps the spawn local (no second pick).
+    EXPECT_EQ(core.pickSpawnReceiver(first, last, target,
+                                     [](int) { return true; }),
+              -1);
+    // One advertised deque or mailbox on the place keeps the spawn
+    // work-first: no receiver, and no blind probe instead.
+    board.publishDeque(first, true);
+    EXPECT_EQ(core.pickSpawnReceiver(first, last, target, awake), -1);
+    board.publishDeque(first, false);
+    board.publishMailbox(last - 1, true);
+    EXPECT_EQ(core.pickSpawnReceiver(first, last, target, awake), -1);
+    // A place with no workers never receives.
+    EXPECT_EQ(core.pickSpawnReceiver(first, first, target, awake), -1);
 }
 
 // ---------------------------------------------------------------------

@@ -184,43 +184,79 @@ hintedDag(uint64_t seed)
     return b.finish();
 }
 
+/** Spawns in @p dag whose child carries a concrete place hint. */
+uint64_t
+hintedSpawns(const ComputationDag &dag)
+{
+    uint64_t n = 0;
+    for (std::size_t f = 0; f < dag.numFrames(); ++f)
+        if (dag.frame(static_cast<FrameId>(f)).parent != kNoFrame
+            && isConcretePlace(dag.frame(static_cast<FrameId>(f)).place))
+            ++n;
+    return n;
+}
+
 /**
  * Section IV's top-heavy-deques argument on a place-hinted dag, where
  * PUSHBACK actually fires: (a) every frame's PUSHBACK attempts stay
  * bounded by the pushing threshold, so pushing amortizes against
  * acquisitions, and (b) the greedy execution-time bound survives frames
- * waiting in single-entry mailboxes instead of on the deques.
+ * waiting in single-entry mailboxes instead of on the deques. Checked
+ * on the paper scheduler and on the shipped one, whose spawn-time
+ * deliveries put hinted children in mailboxes without a steal (their
+ * own counter, so (a) still bounds PUSHBACK alone).
  */
 TEST(SchedulerBounds, HintedDagKeepsSectionFourBounds)
 {
-    for (const uint64_t seed : {1ULL, 5ULL}) {
-        const ComputationDag dag = hintedDag(seed);
-        const Machine m = Machine::paperMachine();
-        const WorkSpan ws = dag.workSpan(8.0, 2.0);
-        SimConfig cfg = SimConfig::numaWs();
-        cfg.seed = seed;
-        const SimResult r = simulate(dag, m, 16, cfg);
+    struct Case
+    {
+        SchedCase sched;
+        bool delivers; ///< the shipped policy delivers hinted spawns
+    };
+    for (const auto &[sched, delivers] :
+         {Case{kScheds[1], false}, Case{kScheds[2], true}}) {
+        for (const uint64_t seed : {1ULL, 5ULL}) {
+            const ComputationDag dag = hintedDag(seed);
+            const Machine m = Machine::paperMachine();
+            const WorkSpan ws = dag.workSpan(8.0, 2.0);
+            SimConfig cfg = sched.config();
+            cfg.seed = seed;
+            const SimResult r = simulate(dag, m, 16, cfg);
 
-        // (a) Push attempts amortize: each push-triggering event
-        // (steal, mailbox delivery, resume) pays at most pushThreshold
-        // attempts, and the number of such events per successful
-        // acquisition is a constant.
-        const double acquisitions = static_cast<double>(
-            r.counters.steals + r.counters.mailboxSteals
-            + r.counters.mailboxPops + r.counters.resumes);
-        const double limit = 2.0 * cfg.sched.pushThreshold * acquisitions
-                             + 2.0 * cfg.sched.pushThreshold;
-        EXPECT_LE(static_cast<double>(r.counters.pushAttempts), limit)
-            << "seed=" << seed;
+            // (a) Push attempts amortize: each push-triggering event
+            // (steal, mailbox delivery, resume) pays at most
+            // pushThreshold attempts, and the number of such events per
+            // successful acquisition is a constant.
+            const double acquisitions = static_cast<double>(
+                r.counters.steals + r.counters.mailboxSteals
+                + r.counters.mailboxPops + r.counters.resumes);
+            const double limit =
+                2.0 * cfg.sched.pushThreshold * acquisitions
+                + 2.0 * cfg.sched.pushThreshold;
+            EXPECT_LE(static_cast<double>(r.counters.pushAttempts), limit)
+                << "seed=" << seed << " sched=" << sched.name;
 
-        // (b) The greedy bound survives frames bypassing the deque.
-        EXPECT_LE(r.elapsedCycles, ws.work / 16 + 40.0 * ws.span)
-            << "seed=" << seed;
+            // (b) The greedy bound survives frames bypassing the deque.
+            EXPECT_LE(r.elapsedCycles, ws.work / 16 + 40.0 * ws.span)
+                << "seed=" << seed << " sched=" << sched.name;
 
-        // Sanity: the mailboxes are live (deliveries counted via pops
-        // + steals).
-        EXPECT_GT(r.counters.mailboxPops + r.counters.mailboxSteals, 0u)
-            << "seed=" << seed;
+            // Sanity: the mailboxes are live (deliveries counted via
+            // pops + steals).
+            EXPECT_GT(r.counters.mailboxPops + r.counters.mailboxSteals,
+                      0u)
+                << "seed=" << seed << " sched=" << sched.name;
+
+            // Spawn-time delivery runs only where the policy ships it,
+            // at most once per hinted spawn.
+            if (delivers)
+                EXPECT_GT(r.counters.spawnDeliveries, 0u)
+                    << "seed=" << seed << " sched=" << sched.name;
+            else
+                EXPECT_EQ(r.counters.spawnDeliveries, 0u)
+                    << "seed=" << seed << " sched=" << sched.name;
+            EXPECT_LE(r.counters.spawnDeliveries, hintedSpawns(dag))
+                << "seed=" << seed << " sched=" << sched.name;
+        }
     }
 }
 
