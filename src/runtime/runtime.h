@@ -212,7 +212,9 @@ struct BasicWorkerCounters
     /// @{
     Count parks = 0;              ///< idleWait entries
     Count parkWakes = 0;          ///< parks ended by a notification
-    Count parkTimeouts = 0;       ///< parks ended by the timeout
+    /** Parks ended by the timeout, counted even when work was visible
+     * by then: such a sleeper missed its wake. */
+    Count parkTimeouts = 0;
     Count spuriousWakes = 0;      ///< wakes with a still-dry board
     /** Nanoseconds spent parked in idleWait: the elastic-pool yield
      * metric (parkedNs over total worker-idle time is the fraction of
@@ -862,8 +864,9 @@ class Runtime
      * supplies the tuned bound). Timer policy: bounded global wait.
      * Board policy: per-socket ParkingLot slot with the bounded
      * fallback timeout.
-     * @return true when the wait ended by a notification or a
-     *         work/shutdown predicate, false on a plain timeout.
+     * @return true when a notification or a work/shutdown predicate
+     *         ended the wait before the timeout, false once the timeout
+     *         expires (ParkingLot::park).
      */
     bool idleWait(int socket, int timeout_us);
     /** Wake every parked worker (shutdown — an event every socket must

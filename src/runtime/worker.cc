@@ -175,6 +175,7 @@ Worker::trySteal()
 
     TaskBase *task = nullptr;
     bool from_mailbox = false;
+    bool surplus = false;
     if (action.checkMailboxFirst) {
         task = victim.mailbox().tryTake();
         from_mailbox = task != nullptr;
@@ -184,7 +185,8 @@ Worker::trySteal()
         task = victim.deque().stealHead();
         // The probe already paid for the cache traffic: repair the
         // victim's staleness (a 1-bit over an empty deque) for free.
-        if (victim.deque().empty())
+        surplus = !victim.deque().empty();
+        if (!surplus)
             _runtime.board().publishDeque(action.victim, false);
     }
     _core.onStealResult(action, task != nullptr);
@@ -196,10 +198,18 @@ Worker::trySteal()
     // probe itself goes to the open bucket: Idle after a dry spell,
     // Work when the local miss that led here read no clock.
     switchBucket(TimeSplit::Scheduling);
-    if (from_mailbox)
+    if (from_mailbox) {
         ++_counters.mailboxTakes;
-    else
+    } else {
         ++_counters.steals;
+        // Work is left behind the stolen frame: wake the nearest place
+        // with sleepers, which no occupancy edge would reach.
+        ParkingLot &lot = _runtime.parkingLot();
+        const int place = _core.surplusWakePlace(
+            surplus, [&lot](int p) { return lot.waiters(p) > 0; });
+        if (place >= 0)
+            lot.wake(place);
+    }
     // Promotion analogue: the task has now migrated off its spawner.
     task->markStolen();
 

@@ -9,13 +9,20 @@
  * ablatable knob:
  *
  *  - ParkPolicy::Board replaces the global 200us timer wait with a
- *    per-socket ParkingLot: a worker parks tagged with its socket, and
- *    wakers notify only the sockets whose board words transitioned
- *    0 -> nonzero (the edge OccupancyBoard::publishDeque/publishMailbox
- *    now report back), so a push on socket 2 no longer wakes parked
- *    workers on sockets 0, 1, and 3. A bounded fallback timeout keeps
- *    liveness: a lost wakeup costs at most one fallback period, never
- *    starvation.
+ *    per-socket ParkingLot: a worker parks tagged with its socket once
+ *    the board shows no work, and only these wake it:
+ *     1. an occupancy edge on its own socket: a board word went
+ *        0 -> nonzero (OccupancyBoard::publishDeque/publishMailbox
+ *        report the edge back), so a push on socket 2 does not wake
+ *        sockets 0, 1 and 3;
+ *     2. an admission wake aimed at its socket
+ *        (Runtime::notifyAdmission);
+ *     3. a surplus-steal wake: a deque steal that left its victim
+ *        non-empty wakes the nearest socket with sleepers
+ *        (StealCore::surplusWakePlace), so work on one socket reaches
+ *        sleepers on another that no edge of theirs would wake;
+ *     4. the bounded fallback timeout, which keeps liveness: a lost
+ *        wakeup costs at most one fallback period, never starvation.
  *  - PushTarget::Board picks PUSHBACK receivers from the complement of
  *    OccupancyBoard::mailboxBits(socket) — the workers whose mailbox
  *    advertises room — instead of probing blind, falling back to the
@@ -80,8 +87,10 @@ class ParkingLot
      * and again on every notification, so any wake issued after
      * registration is never lost.
      *
-     * @return true when parking ended by a wake or the predicate,
-     *         false on a plain timeout.
+     * @return true when a wake or the predicate ended the park before
+     *         the timeout; false once the timeout expires, whatever the
+     *         predicate says then (a sleeper that missed its wake and
+     *         found work only at the fallback is a timeout, not a wake).
      */
     template <typename Pred>
     bool
@@ -98,12 +107,20 @@ class ParkingLot
         // (which then observes the published work) or after the
         // snapshot (and the epoch comparison catches it).
         const uint64_t epoch = s.epoch.load(std::memory_order_relaxed);
+        const auto wake_seen = [&] {
+            return s.epoch.load(std::memory_order_relaxed) != epoch;
+        };
         bool woken = pred();
         if (!woken) {
-            woken = s.cv.wait_for(lock, timeout, [&] {
-                return s.epoch.load(std::memory_order_relaxed) != epoch
-                       || pred();
-            });
+            const auto deadline = std::chrono::steady_clock::now() + timeout;
+            do {
+                if (s.cv.wait_until(lock, deadline)
+                    == std::cv_status::timeout) {
+                    woken = wake_seen();
+                    break;
+                }
+                woken = wake_seen() || pred();
+            } while (!woken);
         }
         s.waiters.fetch_sub(1, std::memory_order_seq_cst);
         return woken;

@@ -6,12 +6,12 @@
  * cadence, hierarchical/informed victim sampling, the mailbox-vs-deque
  * coin flip and its informed override, escalation bookkeeping, PUSHBACK
  * and spawn-time delivery receiver selection, the park-after-N-failures
- * streak, and the EWMA-tuned parking constants. The threaded runtime
- * (runtime/worker.cc) and the simulator (sim/scheduler.cc) only
- * *execute* the returned actions (probe victim V, poll the board, push
- * to mailbox M, park on socket S) against their own mechanics, so a
- * policy decision exists in exactly one place and the engines cannot
- * diverge.
+ * streak, the surplus-steal wake, and the EWMA-tuned parking constants.
+ * The threaded runtime (runtime/worker.cc) and the simulator
+ * (sim/scheduler.cc) only *execute* the returned actions (probe victim
+ * V, poll the board, push to mailbox M, park on socket S, wake place P)
+ * against their own mechanics, so a policy decision exists in exactly
+ * one place and the engines cannot diverge.
  *
  * Determinism contract: for a fixed SchedPolicy, EngineView contents,
  * seed, and call sequence, the core draws from its private RNG in a
@@ -199,6 +199,7 @@ class AtomicYieldFlag
  * Call protocol, per the drivers in runtime/worker.cc and
  * sim/scheduler.cc:
  *  - steal path: a = nextAction(); execute it; onStealResult(a, got).
+ *    After a deque steal, surplusWakePlace() names a place to wake.
  *  - publish path: onPublishEdge(socket_edge) says whom to wake.
  *  - PUSHBACK: per attempt, compare the frame's push count against
  *    policy().pushThreshold and pick a receiver with
@@ -249,6 +250,39 @@ class StealCore
             return socket_edge ? WakeDirective::TargetedSocket
                                : WakeDirective::None;
         return WakeDirective::Global;
+    }
+
+    /**
+     * Surplus-steal wake: a deque steal just succeeded, and @p surplus
+     * says the victim's deque still holds work. Board parking wakes a
+     * place only on its own 0 -> nonzero edge, so sleepers elsewhere
+     * would sleep through that work until their fallback expires.
+     * Returns the place whose sleepers to wake: this worker's own
+     * place first, then the others by hop distance (ties to the lower
+     * index), the first for which @p has_sleepers holds; -1 for none.
+     * Timer parking returns -1, because every publish there already
+     * notifies globally. No RNG draw.
+     */
+    template <typename HasSleepersFn>
+    int
+    surplusWakePlace(bool surplus, HasSleepersFn has_sleepers) const
+    {
+        if (!surplus || !_policy.boardParking())
+            return -1;
+        if (has_sleepers(_socket))
+            return _socket;
+        const StealDistribution &dist = *_view.dist;
+        int best = -1;
+        int best_hops = 0;
+        for (int p = 0; p < dist.numSockets(); ++p) {
+            const int hops = dist.socketHops(_socket, p);
+            if (p != _socket && (best < 0 || hops < best_hops)
+                && has_sleepers(p)) {
+                best = p;
+                best_hops = hops;
+            }
+        }
+        return best;
     }
     /// @}
 

@@ -328,6 +328,26 @@ class Simulation
         }
     }
 
+    /** @p thief's deque steal from @p victim left work behind: wake the
+     * place the core names (the threaded Worker::trySteal's surplus
+     * wake), every parked core of it, as an edge wake would. */
+    void
+    maybeWakeForSurplus(int thief, int victim)
+    {
+        if (!parkingModeled())
+            return;
+        const int socket = _cores[thief].brain.surplusWakePlace(
+            !_cores[victim].deq.empty(), [this](int s) {
+                const auto [first, last] = coresOfSocket(s);
+                for (int w = first; w < last; ++w)
+                    if (_cores[w].parked)
+                        return true;
+                return false;
+            });
+        if (socket >= 0)
+            maybeWakeSocket(socket, thief);
+    }
+
     /** A parked core's wake event fired: pay the board check, unpark if
      * anything is stealable, else count the wake spurious and re-arm. */
     void
@@ -1002,6 +1022,7 @@ Simulation::stepStealAttempt(int core)
     if (!got.valid()) {
         if (!_cores[victim].deq.empty()) {
             got = dequePopFront(victim);
+            maybeWakeForSurplus(core, victim);
             // Promotion: the frame is now (again) a stolen full frame,
             // and the victim keeps executing one outstanding child.
             ++_counters.steals;

@@ -111,9 +111,7 @@ StealDistribution::levelOf(int thief, int victim) const
                    : kLevelPlace;
     }
     const int hops =
-        _socketHops[static_cast<std::size_t>(_workerSocket[thief])
-                        * _numSockets
-                    + _workerSocket[victim]];
+        socketHops(_workerSocket[thief], _workerSocket[victim]);
     return hops <= 1 ? kLevelSocket : kLevelRemote;
 }
 
@@ -224,12 +222,8 @@ double
 StealDistribution::weightOf(int thief, int victim, bool live,
                             uint32_t affinity_sockets) const
 {
-    const int h =
-        std::min(_socketHops[static_cast<std::size_t>(
-                                 _workerSocket[thief])
-                                 * _numSockets
-                             + _workerSocket[victim]],
-                 2);
+    const int h = std::min(
+        socketHops(_workerSocket[thief], _workerSocket[victim]), 2);
     double w = _weights.perHop[h];
     if (live) {
         w *= _occupancyBoost;

@@ -172,6 +172,16 @@ class StealDistribution
     double minProbability() const;
 
     int numWorkers() const { return _numWorkers; }
+    int numSockets() const { return _numSockets; }
+
+    /** Hop distance between two sockets (0 on the diagonal). */
+    int
+    socketHops(int from_socket, int to_socket) const
+    {
+        return _socketHops[static_cast<std::size_t>(from_socket)
+                               * _numSockets
+                           + to_socket];
+    }
 
     /** @name Hierarchical victim search */
     /// @{

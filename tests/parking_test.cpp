@@ -39,6 +39,26 @@ eventually(Pred pred)
     return pred();
 }
 
+/** A balanced binary fan of @p n leaves. Each spawner's deque holds
+ * the continuations of its whole spawn chain, so a steal of the oldest
+ * one leaves surplus behind (a flat spawn loop never does: work-first,
+ * the deque holds one continuation at a time). */
+void
+binaryFan(sim::DagBuilder &b, int n, double leaf_cycles)
+{
+    if (n == 1) {
+        b.strand(leaf_cycles, {});
+        return;
+    }
+    b.spawn(kAnyPlace);
+    binaryFan(b, n / 2, leaf_cycles);
+    b.end();
+    b.spawn(kAnyPlace);
+    binaryFan(b, n - n / 2, leaf_cycles);
+    b.end();
+    b.sync();
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -70,6 +90,31 @@ TEST(ParkingLot, PredicateShortCircuitsTheWait)
     ParkingLot lot(1);
     // True predicate: no sleep at all, reported as a (logical) wake.
     EXPECT_TRUE(lot.park(0, 1000ms, [] { return true; }));
+}
+
+TEST(ParkingLot, WorkSeenOnlyAtTheFallbackIsATimeout)
+{
+    // Work published with no wake leaves the parker asleep until its
+    // fallback. That park missed its wake, so it must read as a
+    // timeout even though the predicate holds by then.
+    ParkingLot lot(1);
+    std::atomic<int> checks{0};
+    std::atomic<bool> work{false};
+    std::thread publisher([&] {
+        // After the registered-then-check evaluation: from here on only
+        // a wake or the timeout re-runs the predicate.
+        EXPECT_TRUE(eventually([&] { return checks.load() >= 1; }));
+        work.store(true);
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(lot.park(0, 50ms, [&] {
+        checks.fetch_add(1);
+        return work.load();
+    }));
+    EXPECT_GE(std::chrono::steady_clock::now() - t0, 40ms);
+    publisher.join();
+    EXPECT_TRUE(work.load());
+    EXPECT_EQ(lot.waiters(0), 0);
 }
 
 TEST(ParkingLot, WakeTargetsOnlyItsSocket)
@@ -260,6 +305,53 @@ TEST(RuntimeParking, FibCorrectUnderEveryParkPushCombination)
     }
 }
 
+TEST(RuntimeParking, SurplusStealWakesTheOtherPlace)
+{
+    // 2 places x 2 workers, all parked. The job's admission wake goes
+    // to place 0 (the first unhinted admission), and its unhinted
+    // children fill only place 0's deques, so no occupancy edge ever
+    // fires on place 1. The fallback outlasts the test: only the wake
+    // of a steal that leaves surplus can bring place 1 in.
+    RuntimeOptions o;
+    o.numWorkers = 4;
+    o.numPlaces = 2;
+    o.sched.parkPolicy = ParkPolicy::Board;
+    o.sched.parkFallbackUs = 60'000'000;
+    o.seed = 7;
+    Runtime rt(o);
+    ASSERT_TRUE(eventually([&] {
+        return rt.parkingLot().waiters(0) == 2
+               && rt.parkingLot().waiters(1) == 2;
+    }));
+
+    constexpr int kChildren = 64;
+    std::atomic<int> ran{0};
+    const auto t0 = std::chrono::steady_clock::now();
+    JobHandle h = rt.submit([&] {
+        TaskGroup tg;
+        // Each child sleeps, so its worker yields the CPU with the rest
+        // of the fan still queued: a steal leaves surplus even on a
+        // one-core host.
+        for (int i = 0; i < kChildren; ++i)
+            tg.spawn([&] {
+                std::this_thread::sleep_for(1ms);
+                ran.fetch_add(1);
+            });
+        tg.sync();
+    });
+    h.wait();
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(ran.load(), kChildren);
+
+    uint64_t place1_steals = 0;
+    const auto [first, last] = rt.workersOfPlace(1);
+    for (int w = first; w < last; ++w)
+        place1_steals += rt.worker(w).counters().steals;
+    EXPECT_GT(place1_steals, 0u);
+    EXPECT_LT(elapsed, 10s); // far inside the 60 s fallback
+    EXPECT_EQ(rt.stats().counters.parkTimeouts, 0u);
+}
+
 TEST(RuntimeParking, BoardParkingShutsDownCleanly)
 {
     // Workers parked in per-socket slots at destruction time must all
@@ -344,6 +436,37 @@ TEST(SimParking, BoardWakesTargetSocketsWithWork)
     EXPECT_LE(2 * rb.counters.spuriousWakeups,
               rt.counters.spuriousWakeups);
     EXPECT_LE(rb.elapsedCycles, 1.02 * rt.elapsedCycles);
+}
+
+TEST(SimParking, SurplusStealsWakeEverySocket)
+{
+    // Every core parks during a long serial strand; then core 0 (socket
+    // 0) spawns a wide fan. Its occupancy edge wakes socket 0 only. The
+    // fallback is hundreds of times the run, so sockets 1..3 join only
+    // through the wakes of steals that leave surplus, and no park may
+    // time out.
+    sim::DagBuilder b;
+    b.beginRoot();
+    b.strand(2.2e6, {});
+    constexpr int kFan = 64;
+    constexpr double kLeaf = 200000.0;
+    binaryFan(b, kFan, kLeaf);
+    b.end();
+    const sim::ComputationDag dag = b.finish();
+
+    constexpr int kCores = 32;
+    sim::SimConfig cfg;
+    cfg.modelParking = true;
+    cfg.sched.parkSpinFailures = 4;
+    cfg.sched.parkPolicy = ParkPolicy::Board;
+    cfg.sched.parkFallbackUs = 1'000'000;
+    const sim::SimResult r = sim::simulatePacked(dag, kCores, cfg);
+    ASSERT_GE(r.counters.parks, static_cast<uint64_t>(kCores - 1));
+    // Every parked core was woken by the board, none by its timeout.
+    EXPECT_GE(r.counters.boardWakes, static_cast<uint64_t>(kCores - 1));
+    EXPECT_EQ(r.counters.wakeups, r.counters.boardWakes);
+    // More than one socket's worth of cores shared the fan.
+    EXPECT_LT(r.elapsedCycles, 2.2e6 + kFan * kLeaf / 16);
 }
 
 TEST(SimParking, DeterministicPerSeed)

@@ -170,12 +170,22 @@ replayStep(StealCore &core, MockWorld &world, bool threaded_shape,
     trace += serialize(a);
     bool got = false;
     if (a.kind == StealAction::Kind::Probe) {
+        bool from_deque = false;
         if (a.checkMailboxFirst)
             got = world.takeMailbox(a.victim);
         if (!got)
-            got = world.takeDeque(a.victim);
+            got = from_deque = world.takeDeque(a.victim);
         core.onStealResult(a, got);
         trace += got ? "|hit" : "|miss";
+        // Surplus-steal wake (threaded: Worker::trySteal; sim:
+        // stepStealAttempt): a deque hit names the place to wake.
+        // Sleepers rotate with the step.
+        if (from_deque) {
+            const int place = core.surplusWakePlace(
+                world.deq[static_cast<std::size_t>(a.victim)] > 0,
+                [step](int p) { return (p + step) % 3 == 0; });
+            trace += " wake p" + std::to_string(place);
+        }
     }
 
     // A successful steal on every 3rd step runs a PUSHBACK episode
@@ -310,6 +320,18 @@ TEST(EngineParity, DriversIssueByteIdenticalActionSequences)
         ++(threaded[at + 8] == '-' ? kept : delivered);
     EXPECT_GT(delivered, 0);
     EXPECT_GT(kept, 0);
+    // Surplus steals woke the thief's own place and other places, and
+    // steals that emptied their victim woke no one.
+    const int self_socket = 1; // worker 5 of 16 on four sockets
+    int own = 0, other = 0, none = 0;
+    for (std::size_t at = threaded.find(" wake p"); at != std::string::npos;
+         at = threaded.find(" wake p", at + 1)) {
+        const int place = std::stoi(threaded.substr(at + 7));
+        ++(place < 0 ? none : (place == self_socket ? own : other));
+    }
+    EXPECT_GT(own, 0);
+    EXPECT_GT(other, 0);
+    EXPECT_GT(none, 0);
 }
 
 TEST(EngineParity, HoldsAcrossSeedsWorkersAndPaperBaseline)
@@ -556,6 +578,36 @@ TEST(StealCoreWake, DirectivesFollowTheParkPolicy)
                 0, 0, 1);
     EXPECT_EQ(t.onPublishEdge(true), WakeDirective::Global);
     EXPECT_EQ(t.onPublishEdge(false), WakeDirective::Global);
+}
+
+TEST(StealCoreWake, SurplusWakeSearchesPlacesOutwardFromTheThief)
+{
+    // Paper machine: sockets 0-1, 0-2, 1-3 and 2-3 are one hop apart,
+    // 0-3 and 1-2 two. The thief sits on socket 1.
+    const Machine machine = Machine::paperMachineSubset(32);
+    const SchedPolicy policy;
+    StealDistribution dist(machine, 32, policy.biasWeights);
+    OccupancyBoard board(32, dist.workerSockets());
+    const int self = 8;
+    ASSERT_EQ(dist.socketOfWorker(self), 1);
+    StealCore core(policy, EngineView{&dist, &board}, self, 1, 1);
+    const auto sleeping = [](std::vector<int> places) {
+        return [places](int p) {
+            return std::find(places.begin(), places.end(), p)
+                   != places.end();
+        };
+    };
+    EXPECT_EQ(core.surplusWakePlace(true, sleeping({0, 1, 2, 3})), 1);
+    EXPECT_EQ(core.surplusWakePlace(true, sleeping({0, 2, 3})), 0);
+    EXPECT_EQ(core.surplusWakePlace(true, sleeping({2, 3})), 3);
+    EXPECT_EQ(core.surplusWakePlace(true, sleeping({2})), 2);
+    EXPECT_EQ(core.surplusWakePlace(true, sleeping({})), -1);
+    // A steal that emptied its victim leaves nothing to wake for.
+    EXPECT_EQ(core.surplusWakePlace(false, sleeping({0, 1, 2, 3})), -1);
+    // Timer parking already notifies on every publish.
+    StealCore timer(SchedPolicy::paperBaseline(),
+                    EngineView{&dist, &board}, self, 1, 1);
+    EXPECT_EQ(timer.surplusWakePlace(true, sleeping({0, 1, 2, 3})), -1);
 }
 
 } // namespace
